@@ -39,31 +39,18 @@ _STABLE_SAMPLERS = ("ses", "stable_edge")
 _CLEANUP = "cleanup"
 
 
+def _voted_users(table: VoteTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(labels, votes)`` of every voted user, ascending by label."""
+    voted = np.flatnonzero(table.users.votes)
+    labels, votes = table.users.labels[voted].astype(np.int64), table.users.votes[voted]
+    order = np.argsort(labels)
+    return labels[order], votes[order]
+
+
 def _ranked_by_votes(table: VoteTable) -> np.ndarray:
     """Voted user labels from most to least voted (ties broken by label)."""
-    ordered = sorted(table.user_votes.items(), key=lambda item: (-item[1], item[0]))
-    return np.array([label for label, _ in ordered], dtype=np.int64)
-
-
-def _vote_scores(labels: np.ndarray, votes) -> np.ndarray:
-    """Per-local-index vote counts (0 for never-voted nodes).
-
-    Vectorised via a sorted-key lookup — the voted set is usually much
-    smaller than the node set, and a Python loop over every label would
-    dominate small fits.
-    """
-    scores = np.zeros(labels.size, dtype=np.float64)
-    if not votes:
-        return scores
-    keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
-    values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    positions = np.searchsorted(keys, labels)
-    positions = np.clip(positions, 0, keys.size - 1)
-    hits = keys[positions] == labels
-    scores[hits] = values[positions[hits]]
-    return scores
+    labels, votes = _voted_users(table)
+    return labels[np.lexsort((labels, -votes.astype(np.int64)))]
 
 
 def _threshold_sweep(
@@ -77,10 +64,7 @@ def _threshold_sweep(
     ``majority_vote(table, t).user_labels`` — sorted labels whose vote
     count reaches ``t``.
     """
-    labels = np.array(sorted(table.user_votes), dtype=np.int64)
-    counts = np.array(
-        [table.user_votes[int(label)] for label in labels.tolist()], dtype=np.int64
-    )
+    labels, counts = _voted_users(table)
     return tuple(
         (float(threshold), labels[counts >= threshold])
         for threshold in range(1, n_samples + 1)
@@ -120,9 +104,9 @@ def detection_from_votes(
     return Detection(
         spec=spec,
         user_labels=graph.user_labels,
-        user_scores=_vote_scores(graph.user_labels, table.user_votes),
+        user_scores=table.users.scores(graph.user_labels),
         merchant_labels=graph.merchant_labels,
-        merchant_scores=_vote_scores(graph.merchant_labels, table.merchant_votes),
+        merchant_scores=table.merchants.scores(graph.merchant_labels),
         operating_points=points,
         ranked_users=_ranked_by_votes(table),
         seconds=seconds,

@@ -34,7 +34,7 @@ from ..sampling import RandomEdgeSampler, Sampler, StableEdgeSampler, resolve_rn
 from .results import DetectionResult
 from .runner import MemberFailure, MemberRun, SampleDetection, _raise_first_failure, run_members
 from .sharding import ShardPlan, merge_shard_votes, plan_shards, run_sharded
-from .voting import VoteTable, majority_vote
+from .voting import NodeVotes, VoteTable, majority_vote
 
 __all__ = ["EnsemFDetConfig", "EnsemFDetResult", "EnsemFDet"]
 
@@ -76,7 +76,7 @@ class EnsemFDetConfig:
         semantics. Zero overhead while nothing fails.
     native_batch:
         Batched native backend: peel all eligible members of an attempt in
-        one multi-member kernel call and merge votes natively. ``None``
+        one multi-member kernel call. ``None``
         (the default) defers to ``REPRO_NATIVE_BATCH`` (on unless set to
         0); ``False`` forces the per-member path. Results are bitwise
         identical either way.
@@ -406,35 +406,26 @@ class EnsemFDet:
         run: MemberRun,
         sampling_seconds: float,
         detection_seconds: float,
-        graph: BipartiteGraph | None = None,
+        graph: BipartiteGraph,
         shard_plan: ShardPlan | None = None,
     ) -> EnsemFDetResult:
         config = self.config
         detections = _enforce_quorum(run, config)
-        table = None
-        if graph is not None and _batched.resolve_native_batch(config.native_batch):
-            counters = None
-            if shard_plan is not None:
-                # shard-wise tallies summed — exactly the global tally
-                # (integer votes); None falls through to the global paths
-                grouped = [
-                    [d for i in members if (d := run.detections[i]) is not None]
-                    for members in shard_plan.members
-                ]
-                counters = merge_shard_votes(grouped, graph)
-            if counters is None:
-                counters = _batched.vote_counters(detections, graph)
-            if counters is not None:
-                table = VoteTable(
-                    n_samples=len(detections),
-                    user_votes=counters[0],
-                    merchant_votes=counters[1],
-                )
-        if table is None:
-            table = VoteTable.from_detections(
-                [d.result.detected_users().tolist() for d in detections],
-                [d.result.detected_merchants().tolist() for d in detections],
-            )
+        counts = None
+        if shard_plan is not None:
+            # shard-wise tallies summed — exactly the global tally (integer
+            # votes); None (a shard.merge fault) falls back to the global one
+            grouped = [
+                [d for i in members if (d := run.detections[i]) is not None]
+                for members in shard_plan.members
+            ]
+            counts = merge_shard_votes(grouped, graph)
+        users, merchants = counts or _batched.vote_counters(detections, graph)
+        table = VoteTable(
+            len(detections),
+            NodeVotes(graph.user_labels, users),
+            NodeVotes(graph.merchant_labels, merchants),
+        )
         if config.track_appearances:
             table.attach_appearances(
                 [d.sample_users for d in detections],

@@ -12,7 +12,8 @@ delta) are recomputed and their votes merged back into the stored table.
 The refreshed state is **bit-identical** to a cold re-fit on the grown
 graph with the same seed: untouched members' sampled subgraphs are
 unchanged by construction, refreshed members re-run the same deterministic
-FDET the cold fit would, and vote subtraction/addition reproduces the
+FDET the cold fit would, and subtracting the old and adding the new node
+tallies of the refreshed members (one ``np.bincount`` each) reproduces the
 fresh tally exactly.
 
 State survives restarts through :func:`repro.ensemble.results.save_detection_state`
@@ -23,13 +24,13 @@ whole loop from edge-list files.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
+from ..fdet.batched import detected_nodes, label_nodes, tally
 from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
 from ..parallel import FaultTolerance, ReusablePool, Timer
 from ..sampling import StableEdgeSampler, resolve_rng
@@ -41,8 +42,8 @@ from .results import (
     load_detection_state_with_recovery,
     save_detection_state,
 )
-from .runner import MemberFailure, SampleDetection, _raise_first_failure, run_members
-from .voting import VoteTable, majority_vote
+from .runner import MemberFailure, _raise_first_failure, run_members
+from .voting import NodeVotes, VoteTable, majority_vote
 
 __all__ = ["IncrementalEnsemFDet", "UpdateReport"]
 
@@ -102,34 +103,27 @@ class UpdateReport:
 
 @dataclass
 class _SampleState:
-    """One ensemble member's last detection and sample contents (labels)."""
+    """One ensemble member's last detection (parent nodes) and sample (labels)."""
 
-    detected_users: np.ndarray
-    detected_merchants: np.ndarray
+    users: np.ndarray
+    merchants: np.ndarray
     sample_users: np.ndarray
     sample_merchants: np.ndarray
 
-    @classmethod
-    def from_detection(cls, detection: SampleDetection) -> "_SampleState":
-        return cls(
-            detected_users=detection.result.detected_users(),
-            detected_merchants=detection.result.detected_merchants(),
-            sample_users=np.array(detection.sample_users, dtype=np.int64),
-            sample_merchants=np.array(detection.sample_merchants, dtype=np.int64),
-        )
+
+def _member_states(detections, graph: BipartiteGraph, distinct: bool) -> list[_SampleState]:
+    """Member states of ``detections`` over ``graph`` (see :func:`detected_nodes`)."""
+    users = detected_nodes(detections, graph.user_labels, "user", distinct)
+    merchants = detected_nodes(detections, graph.merchant_labels, "merchant", distinct)
+    return [
+        _SampleState(u, m, d.sample_users, d.sample_merchants)
+        for u, m, d in zip(users, merchants, detections)
+    ]
 
 
-def _add_votes(counter: Counter[int], labels: np.ndarray) -> None:
-    counter.update(labels.tolist())
-
-
-def _subtract_votes(counter: Counter[int], labels: np.ndarray) -> None:
-    for label in labels.tolist():
-        remaining = counter[label] - 1
-        if remaining > 0:
-            counter[label] = remaining
-        else:
-            del counter[label]
+def _swap(counts: np.ndarray, removed: list[np.ndarray], added: list[np.ndarray]) -> None:
+    """Replace some members' contribution to ``counts``, in place."""
+    counts += tally(added, counts.size) - tally(removed, counts.size)
 
 
 class IncrementalEnsemFDet:
@@ -262,19 +256,26 @@ class IncrementalEnsemFDet:
                 raise DetectionError("fit timestamps require a windowed detector")
             result = EnsemFDet(self.config, pool=self.pool).fit(graph, track_members=True)
         self._graph = graph
-        self._samples = [
-            _SampleState.from_detection(detection) for detection in result.sample_detections
-        ]
-        table = VoteTable(
-            n_samples=result.vote_table.n_samples,
-            user_votes=Counter(result.vote_table.user_votes),
-            merchant_votes=Counter(result.vote_table.merchant_votes),
-        )
-        if result.vote_table.user_appearances is not None:
-            table.user_appearances = Counter(result.vote_table.user_appearances)
-            table.merchant_appearances = Counter(result.vote_table.merchant_appearances)
-        self._table = table
+        self._samples = _member_states(result.sample_detections, graph, distinct=False)
+        self._table = self._tally()
         return result
+
+    def _tally(self) -> VoteTable:
+        """A fresh vote table of the member states over the current graph."""
+        graph = self._graph
+        samples = self._samples
+        users = tally([s.users for s in samples], graph.n_users)
+        merchants = tally([s.merchants for s in samples], graph.n_merchants)
+        table = VoteTable(
+            len(samples),
+            NodeVotes(graph.user_labels, users),
+            NodeVotes(graph.merchant_labels, merchants),
+        )
+        if self.config.track_appearances:
+            table.attach_appearances(
+                [s.sample_users for s in samples], [s.sample_merchants for s in samples]
+            )
+        return table
 
     def update(
         self,
@@ -328,62 +329,22 @@ class IncrementalEnsemFDet:
                 "batch timestamps require a windowed detector "
                 "(construct with window=WindowConfig(...))"
             )
-        config = self.config
-        sampler: StableEdgeSampler = config.sampler
-
-        with Timer() as sampling_timer:
+        with Timer() as delta_timer:
             accumulator = GraphAccumulator.from_graph(self._graph)
             start, stop = accumulator.append(users, merchants, weights)
             new_graph = accumulator.graph()
-            key = sampler.derive_key(resolve_rng(config.seed))
-            inclusion = sampler.stripe_inclusion(
-                sampler.n_stripes(new_graph.n_edges), config.n_samples, key
-            )
-            stale = self._stale_members(
-                inclusion, np.arange(start, stop, dtype=np.int64), sampler.stripe
-            )
-            plans = [sampler.stripe_plan(inclusion[index]) for index in stale.tolist()]
-
-        with Timer() as detection_timer:
-            run = run_members(
-                new_graph,
-                plans,
-                config.fdet,
-                mode=config.executor,
-                n_workers=config.n_workers,
-                pool=self.pool,
-                track_members=True,
-                shared_memory=config.shared_memory,
-                tolerance=config.tolerance,
-                native_batch=config.native_batch,
-                # updates refresh few members, so sharding would be pure
-                # overhead; the mmap transport still applies
-                mmap=config.mmap,
-            )
-
-        stale_indices = stale.tolist()
-        failures = self._merge_refreshed(run, stale_indices)
-        self._graph = new_graph
-        return UpdateReport(
+            changed = np.arange(start, stop, dtype=np.int64)
+        return self._refresh(
+            new_graph, new_graph.n_edges, changed, None, delta_timer.elapsed,
             n_new_edges=stop - start,
-            refreshed_samples=tuple(int(i) for i in stale_indices),
-            n_samples=config.n_samples,
-            sampling_seconds=sampling_timer.elapsed,
-            detection_seconds=detection_timer.elapsed,
-            failed_members=failures,
-            stale_members=tuple(sorted(self._degraded)),
-            retry_log=run.retry_log,
         )
 
     def _update_windowed(
         self, users, merchants, weights, remove_users, remove_merchants, timestamp
     ) -> UpdateReport:
         """Windowed delta: retract, append, expire, then refresh stale members."""
-        config = self.config
-        sampler: StableEdgeSampler = config.sampler
         acc = self._acc
-
-        with Timer() as sampling_timer:
+        with Timer() as delta_timer:
             if (remove_users is None) != (remove_merchants is None):
                 raise DetectionError(
                     "remove_users and remove_merchants must be given together"
@@ -397,19 +358,40 @@ class IncrementalEnsemFDet:
             expired = acc.expire()
             acc.maybe_compact()
             live = acc.window()
-            key = sampler.derive_key(resolve_rng(config.seed))
-            inclusion = sampler.stripe_inclusion(
-                sampler.n_stripes(live.watermark), config.n_samples, key
-            )
             changed = np.concatenate(
                 [np.arange(start, stop, dtype=np.int64), removed, expired]
             )
-            stale = self._stale_members(inclusion, changed, sampler.stripe)
-            plans = [sampler.stripe_plan(inclusion[index]) for index in stale.tolist()]
+        return self._refresh(
+            live.graph,
+            live.watermark,
+            changed,
+            live.edge_window(),
+            delta_timer.elapsed,
+            n_new_edges=stop - start,
+            n_removed_edges=int(removed.size),
+            n_expired_edges=int(expired.size),
+        )
+
+    def _refresh(
+        self, graph, n_ids: int, changed: np.ndarray, window, delta_seconds: float, **counts
+    ) -> UpdateReport:
+        """Re-detect the members whose stripes meet the ``changed`` append ids
+        (of ``n_ids``); ``delta_seconds`` adds to the sampling time."""
+        config = self.config
+        sampler: StableEdgeSampler = config.sampler
+        with Timer() as sampling_timer:
+            key = sampler.derive_key(resolve_rng(config.seed))
+            inclusion = sampler.stripe_inclusion(
+                sampler.n_stripes(n_ids), config.n_samples, key
+            )
+            # the members whose stripe set intersects the changed ids
+            delta_stripes = np.unique(changed // sampler.stripe)
+            stale = np.nonzero(inclusion[:, delta_stripes].any(axis=1))[0].tolist()
+            plans = [sampler.stripe_plan(inclusion[index]) for index in stale]
 
         with Timer() as detection_timer:
             run = run_members(
-                live.graph,
+                graph,
                 plans,
                 config.fdet,
                 mode=config.executor,
@@ -418,41 +400,30 @@ class IncrementalEnsemFDet:
                 track_members=True,
                 shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
-                window=live.edge_window(),
+                window=window,
                 native_batch=config.native_batch,
+                # updates refresh few members, so sharding would be pure
+                # overhead; the mmap transport still applies
                 mmap=config.mmap,
             )
 
-        stale_indices = stale.tolist()
-        failures = self._merge_refreshed(run, stale_indices)
-        self._graph = live.graph
+        failures = self._merge_refreshed(run, stale, graph)
         return UpdateReport(
-            n_new_edges=stop - start,
-            refreshed_samples=tuple(int(i) for i in stale_indices),
+            refreshed_samples=tuple(stale),
             n_samples=config.n_samples,
-            sampling_seconds=sampling_timer.elapsed,
+            sampling_seconds=delta_seconds + sampling_timer.elapsed,
             detection_seconds=detection_timer.elapsed,
             failed_members=failures,
-            stale_members=tuple(sorted(self._degraded)),
+            stale_members=self.stale_members,
             retry_log=run.retry_log,
-            n_removed_edges=int(removed.size),
-            n_expired_edges=int(expired.size),
+            **counts,
         )
 
-    @staticmethod
-    def _stale_members(
-        inclusion: np.ndarray, changed_ids: np.ndarray, stripe: int
-    ) -> np.ndarray:
-        """Members whose stripe set intersects the changed append ids."""
-        if not changed_ids.size:
-            return np.empty(0, dtype=np.int64)
-        delta_stripes = np.unique(changed_ids // stripe)
-        return np.nonzero(inclusion[:, delta_stripes].any(axis=1))[0]
-
     def _merge_refreshed(
-        self, run, stale_indices: list[int]
+        self, run, stale_indices: list[int], graph: BipartiteGraph
     ) -> tuple[MemberFailure, ...]:
-        """Swap refreshed members' votes into the table; enforce the quorum."""
+        """Swap refreshed members' votes into the table (grown to ``graph``'s
+        nodes) in one vectorized step per array; enforce the quorum."""
         config = self.config
         if run.failures and config.tolerance.min_quorum >= 1.0:
             _raise_first_failure(run)
@@ -468,27 +439,35 @@ class IncrementalEnsemFDet:
             for failure in run.failures
         )
 
-        table = self._table
+        refreshed = []
         for position, index in enumerate(stale_indices):
-            detection = run.detections[position]
-            if detection is None:
+            if run.detections[position] is None:
                 # refresh failed permanently: keep the member's previous
                 # (now stale) votes rather than silently dropping them
                 self._degraded.add(index)
-                continue
-            old = self._samples[index]
-            fresh = _SampleState.from_detection(detection)
-            _subtract_votes(table.user_votes, old.detected_users)
-            _subtract_votes(table.merchant_votes, old.detected_merchants)
-            _add_votes(table.user_votes, fresh.detected_users)
-            _add_votes(table.merchant_votes, fresh.detected_merchants)
-            if table.user_appearances is not None:
-                _subtract_votes(table.user_appearances, old.sample_users)
-                _subtract_votes(table.merchant_appearances, old.sample_merchants)
-                _add_votes(table.user_appearances, fresh.sample_users)
-                _add_votes(table.merchant_appearances, fresh.sample_merchants)
-            self._samples[index] = fresh
-            self._degraded.discard(index)
+            else:
+                refreshed.append((index, run.detections[position]))
+                self._degraded.discard(index)
+
+        table = self._table
+        table.users.grow(graph.user_labels)
+        table.merchants.grow(graph.merchant_labels)
+        self._graph = graph
+        old = [self._samples[index] for index, _ in refreshed]
+        # the accumulator interns each label once
+        fresh = _member_states([detection for _, detection in refreshed], graph, distinct=True)
+        _swap(table.users.votes, [s.users for s in old], [s.users for s in fresh])
+        _swap(table.merchants.votes, [s.merchants for s in old], [s.merchants for s in fresh])
+        if table.users.seen is not None:
+            sides = ((table.users, "sample_users"), (table.merchants, "sample_merchants"))
+            for side, attr in sides:
+                _swap(
+                    side.seen,
+                    label_nodes(side.labels, [getattr(s, attr) for s in old]),
+                    label_nodes(side.labels, [getattr(s, attr) for s in fresh]),
+                )
+        for (index, _), state in zip(refreshed, fresh):
+            self._samples[index] = state
 
         fresh_members = config.n_samples - len(self._degraded)
         required = config.tolerance.required_survivors(config.n_samples)
@@ -613,11 +592,12 @@ class IncrementalEnsemFDet:
                 "watermark": ws["watermark"],
                 "batches": ws["batches"],
             }
+        users, merchants = self._graph.user_labels, self._graph.merchant_labels
         return DetectionState(
             config=self._config_dict(),
             graph=graph,
-            detected_users=[s.detected_users for s in self._samples],
-            detected_merchants=[s.detected_merchants for s in self._samples],
+            detected_users=[np.sort(users[s.users]) for s in self._samples],
+            detected_merchants=[np.sort(merchants[s.merchants]) for s in self._samples],
             sample_users=[s.sample_users for s in self._samples],
             sample_merchants=[s.sample_merchants for s in self._samples],
             meta=meta,
@@ -656,31 +636,17 @@ class IncrementalEnsemFDet:
         detector._degraded = set(
             int(i) for i in detector.meta.pop("degraded_members", [])
         )
-        detector._graph = state.graph
+        detector._graph = graph = state.graph
         detector._samples = [
-            _SampleState(
-                detected_users=du,
-                detected_merchants=dm,
-                sample_users=su,
-                sample_merchants=sm,
-            )
+            _SampleState(users=du, merchants=dm, sample_users=su, sample_merchants=sm)
             for du, dm, su, sm in zip(
-                state.detected_users,
-                state.detected_merchants,
+                label_nodes(graph.user_labels, state.detected_users),
+                label_nodes(graph.merchant_labels, state.detected_merchants),
                 state.sample_users,
                 state.sample_merchants,
             )
         ]
-        table = VoteTable.from_detections(
-            [du.tolist() for du in state.detected_users],
-            [dm.tolist() for dm in state.detected_merchants],
-        )
-        if config.track_appearances:
-            table.attach_appearances(
-                [su.tolist() for su in state.sample_users],
-                [sm.tolist() for sm in state.sample_merchants],
-            )
-        detector._table = table
+        detector._table = detector._tally()
         return detector
 
     @classmethod

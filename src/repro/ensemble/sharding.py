@@ -19,9 +19,8 @@ Bitwise parity is the contract, achieved by construction:
   so adjacency construction and peel tie-breaking are identical;
 * liveness overlays are folded into the shard rows at partition time, so
   windowed fits shard exactly like frozen ones;
-* votes are integer counts: per-shard tallies summed shard by shard
-  (:func:`merge_shard_votes`, reusing the native ``repro_accumulate_votes``
-  path) equal the global tally exactly.
+* votes are integer counts: per-shard dense tallies summed shard by
+  shard (:func:`merge_shard_votes`) equal the global tally exactly.
 
 Works for any sampler whose plans reduce to parent edge-id lists ("edges"
 and "stripes" kinds — RES and the stable sampler); node-kind plans depend
@@ -38,7 +37,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -257,20 +255,18 @@ def run_sharded(
 
 def merge_shard_votes(
     shard_detections: Sequence[Sequence[object]], graph: BipartiteGraph
-) -> tuple[Counter, Counter] | None:
-    """Combine per-shard vote tallies into the global vote counters.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sum per-shard vote tallies into the global per-node vote arrays.
 
-    Each shard's surviving detections are tallied through the native
-    accumulator (:func:`repro.fdet.batched.vote_counters` — parent-index
-    votes, labels applied once) and the per-shard counters are summed.
-    Votes are integers, so the sum is *exactly* the single global tally an
-    unsharded fit computes. Returns ``None`` when any shard cannot take
-    the native path (missing index arrays, duplicate labels, no kernel) or
-    when the ``shard.merge`` fault point fires — the caller then falls
-    back to the label-based Python merge, which produces the same table.
+    Each shard's surviving detections are tallied over the parent's nodes
+    (:func:`repro.fdet.batched.vote_counters`) and the int32 arrays are
+    summed. Votes are integers, so the sum is *exactly* the single global
+    tally an unsharded fit computes. Returns ``None`` when the
+    ``shard.merge`` fault point fires; the caller then takes the global
+    tally, which produces the same table.
     """
-    user_votes: Counter = Counter()
-    merchant_votes: Counter = Counter()
+    user_votes = np.zeros(graph.n_users, dtype=np.int32)
+    merchant_votes = np.zeros(graph.n_merchants, dtype=np.int32)
     for shard_index, detections in enumerate(shard_detections):
         if not detections:
             continue
@@ -278,9 +274,7 @@ def merge_shard_votes(
             fault_point("shard.merge", shard=shard_index)
         except InjectedFault:
             return None
-        counters = _batched.vote_counters(list(detections), graph)
-        if counters is None:
-            return None
-        user_votes.update(counters[0])
-        merchant_votes.update(counters[1])
+        users, merchants = _batched.vote_counters(list(detections), graph)
+        user_votes += users
+        merchant_votes += merchants
     return user_votes, merchant_votes

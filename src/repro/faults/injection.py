@@ -30,9 +30,9 @@ Registered injection points
     the pickled transport). Context: ``path``.
 ``shard.merge``
     One shard's vote-tally accumulation during a sharded fit's merge. A
-    fired fault abandons the native shard-wise merge and falls back to the
-    label-based Python merge, which produces the same table. Context:
-    ``shard`` (shard index).
+    fired fault abandons the shard-wise merge and falls back to the global
+    array tally, which produces the same table. Context: ``shard`` (shard
+    index).
 ``state.write``
     Snapshot persistence, at stages ``tmp_written`` (payload durable in
     the temp file), ``backup_done`` (previous snapshot rotated to

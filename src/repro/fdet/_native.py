@@ -18,8 +18,6 @@ The shared object exports several entry points, loaded together as a
     One peel of one flattened graph (used by :mod:`.peeling_fast`).
 ``repro_fdet_batch``
     The batched multi-member FDET loop (used by :mod:`.batched`).
-``repro_accumulate_votes``
-    Vote-merge accumulator for ensemble tallies.
 ``repro_pairwise_sum``
     numpy-replica pairwise summation, exported so the Python side can
     probe bitwise agreement with ``np.sum`` before trusting the batch
@@ -77,7 +75,6 @@ class NativeKernels:
 
     greedy_peel: object
     fdet_batch: object
-    accumulate_votes: object
     pairwise_sum: object
     has_openmp: bool
 
@@ -262,10 +259,6 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
     ]
     batch.restype = ctypes.c_int64
 
-    votes = lib.repro_accumulate_votes
-    votes.argtypes = [i64_array, ctypes.c_int64, i64_array]
-    votes.restype = ctypes.c_int64
-
     psum = lib.repro_pairwise_sum
     psum.argtypes = [f64_array, ctypes.c_int64]
     psum.restype = ctypes.c_double
@@ -277,7 +270,6 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
     return NativeKernels(
         greedy_peel=peel,
         fdet_batch=batch,
-        accumulate_votes=votes,
         pairwise_sum=psum,
         has_openmp=bool(omp()),
     )

@@ -13,8 +13,9 @@ members when available.
 
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
 plan→edge-id expansion, marshalling, truncation, :class:`Block` /
-:class:`FdetResult` assembly, and the native vote-merge helpers. Everything
-the kernel computes is **bitwise identical** to the reference pipeline
+:class:`FdetResult` assembly, and the vote tally (``np.bincount`` over
+the members' parent node indices). Everything the kernel computes is
+**bitwise identical** to the reference pipeline
 (``materialize_plan`` + ``Fdet.detect``) — enforced by
 ``tests/fdet/test_batched_parity.py`` across sampler families, window
 modes and execution backends.
@@ -32,9 +33,8 @@ batch path when it does not.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +52,12 @@ __all__ = [
     "batch_kernels",
     "config_eligible",
     "detect_many",
+    "detected_nodes",
+    "label_nodes",
     "plan_eligible",
     "plan_edge_ids",
     "resolve_native_batch",
+    "tally",
     "vote_counters",
 ]
 
@@ -173,7 +176,7 @@ class NativeDetection:
     ``user_labels`` / ``merchant_labels`` are the member subgraph's node
     labels (parent labels gathered over the member's compacted node set);
     the ``detected_*_indices`` arrays are sorted unique **parent node
-    indices** over the truncated blocks, feeding the native vote merge.
+    indices** over the truncated blocks, feeding the vote tally.
     """
 
     result: FdetResult
@@ -356,44 +359,59 @@ def detect_many(
     return out
 
 
+def tally(index_arrays: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """int32 count of every node ``0..size-1`` over the index arrays."""
+    flat = np.concatenate(index_arrays) if len(index_arrays) else np.empty(0, dtype=np.int64)
+    return np.bincount(flat, minlength=size).astype(np.int32)
+
+
+def label_nodes(labels: np.ndarray, label_sets: Sequence) -> list[np.ndarray]:
+    """The nodes carrying each set's labels, one sort of ``labels`` for all.
+
+    A label that ``labels`` repeats maps to its first node, one it lacks
+    to ``-1`` (which :func:`tally` rejects).
+    """
+    if not len(label_sets):
+        return []
+    values = np.concatenate([np.asarray(v, dtype=np.int64).reshape(-1) for v in label_sets])
+    nodes = np.full(values.size, -1, dtype=np.int64)
+    if labels.size:
+        order = np.argsort(labels, kind="stable")
+        first = order[np.minimum(np.searchsorted(labels[order], values), labels.size - 1)]
+        found = labels[first] == values
+        nodes[found] = first[found]
+    return np.split(nodes, np.cumsum([len(v) for v in label_sets[:-1]]))
+
+
+def _distinct_labels(labels: np.ndarray) -> bool:
+    """Whether no label repeats (strictly increasing labels skip the sort)."""
+    return bool(np.all(labels[1:] > labels[:-1])) or np.unique(labels).size == labels.size
+
+
+def detected_nodes(
+    detections: Sequence[object], labels: np.ndarray, side: str, distinct: bool = False
+) -> list[np.ndarray]:
+    """Each member's detected parent nodes on ``side`` ("user"/"merchant").
+
+    Batched-kernel index arrays are used as they are; otherwise, or when
+    ``labels`` repeats a label, the detected labels are looked up, so a
+    member votes each label once, on its first node. ``distinct=True``
+    vouches that no label repeats.
+    """
+    indices = [getattr(d, f"detected_{side}_indices") for d in detections]
+    if all(i is not None for i in indices) and (distinct or _distinct_labels(labels)):
+        return indices
+    return label_nodes(labels, [getattr(d.result, f"detected_{side}s")() for d in detections])
+
+
 def vote_counters(
     detections: Sequence[object], graph: BipartiteGraph
-) -> tuple[Counter, Counter] | None:
-    """Native vote merge: per-member detected-index arrays → vote counters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Votes per parent node: int32 user and merchant arrays over ``graph``.
 
-    Equal (as :class:`collections.Counter`) to tallying
-    ``result.detected_users()`` labels member by member, provided every
-    detection carries index arrays and the parent's labels are unique
-    (otherwise two distinct node indices could collapse onto one label and
-    index-space counting would double-count it). Returns ``None`` whenever
-    those preconditions — or the kernel itself — are unavailable.
+    ``graph.user_labels[i] -> votes[i]`` equals tallying each member's
+    ``result.detected_users()`` labels.
     """
-    kernels = batch_kernels()
-    if kernels is None or not detections:
-        return None
-    if any(
-        getattr(d, "detected_user_indices", None) is None
-        or getattr(d, "detected_merchant_indices", None) is None
-        for d in detections
-    ):
-        return None
-    user_labels = graph.user_labels
-    merchant_labels = graph.merchant_labels
-    if (
-        np.unique(user_labels).size != user_labels.size
-        or np.unique(merchant_labels).size != merchant_labels.size
-    ):
-        return None
-
-    def tally(index_arrays: Iterable[np.ndarray], labels: np.ndarray) -> Counter:
-        votes = np.zeros(max(1, labels.size), dtype=np.int64)
-        indices = np.ascontiguousarray(np.concatenate(list(index_arrays)), dtype=np.int64)
-        if indices.size:
-            kernels.accumulate_votes(indices, indices.size, votes)
-        hit = np.nonzero(votes[: labels.size])[0]
-        return Counter(dict(zip(labels[hit].tolist(), votes[hit].tolist())))
-
-    return (
-        tally((d.detected_user_indices for d in detections), user_labels),
-        tally((d.detected_merchant_indices for d in detections), merchant_labels),
-    )
+    users = detected_nodes(detections, graph.user_labels, "user")
+    merchants = detected_nodes(detections, graph.merchant_labels, "merchant")
+    return tally(users, graph.n_users), tally(merchants, graph.n_merchants)

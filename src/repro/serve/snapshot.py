@@ -2,9 +2,10 @@
 
 A :class:`ScoreSnapshot` is captured from a fitted
 :class:`~repro.ensemble.IncrementalEnsemFDet` *after* an update has fully
-merged, and is never mutated afterwards: the vote maps are private copies
-and the ranking is precomputed. The service swaps the current snapshot
-reference atomically (a single attribute store), so a reader either sees
+merged, and is never mutated afterwards: the score arrays are private
+copies of the dense vote table and the ranking is precomputed. The
+service swaps the current snapshot reference atomically (a single
+attribute store), so a reader either sees
 the complete pre-update table or the complete post-update one — never a
 table with some members' votes subtracted but not yet re-added.
 
@@ -17,8 +18,8 @@ a snapshot is bit-comparable against a cold
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +51,11 @@ class ScoreSnapshot:
         Configured ensemble size ``N`` (the vote-count ceiling).
     default_threshold:
         The MVA threshold ``T`` used when a request does not name one.
-    user_votes, merchant_votes:
-        Private ``label -> votes`` copies of the vote table.
     user_labels, user_scores:
         Every user of the snapshot graph in local-index order with its
         vote count (0 when never voted); parallel arrays.
+    merchant_votes:
+        Private ``label -> votes`` copy of the merchant side.
     ranked_users, ranked_scores:
         All users ordered by ``(-score, node index)`` — the deterministic
         serving ranking behind ``GET /top``.
@@ -71,10 +72,9 @@ class ScoreSnapshot:
     version: int
     n_samples: int
     default_threshold: int
-    user_votes: dict[int, int]
-    merchant_votes: dict[int, int]
     user_labels: np.ndarray
     user_scores: np.ndarray
+    merchant_votes: dict[int, int]
     ranked_users: np.ndarray
     ranked_scores: np.ndarray
     stale_members: tuple[int, ...] = ()
@@ -98,21 +98,8 @@ class ScoreSnapshot:
         graph = detector.graph
         if default_threshold is None:
             default_threshold = max(1, detector.config.n_samples // 4)
-        labels = graph.user_labels.copy()
-        scores = np.zeros(labels.size, dtype=np.float64)
-        if table.user_votes:
-            votes = Counter(table.user_votes)
-            # vectorised sorted-key lookup, same shape as the detector
-            # adapters' _vote_scores (the voted set is usually small)
-            keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
-            values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
-            order = np.argsort(keys)
-            keys, values = keys[order], values[order]
-            positions = np.clip(np.searchsorted(keys, labels), 0, keys.size - 1)
-            hits = keys[positions] == labels
-            scores[hits] = values[positions[hits]]
-        else:
-            votes = Counter()
+        labels = table.users.labels.copy()
+        scores = table.users.votes.astype(np.float64)
         order = _ranked(labels, scores)
         watermark = None
         if detector.window_config is not None:
@@ -121,10 +108,9 @@ class ScoreSnapshot:
             version=version,
             n_samples=detector.config.n_samples,
             default_threshold=int(default_threshold),
-            user_votes={int(k): int(v) for k, v in votes.items()},
-            merchant_votes={int(k): int(v) for k, v in table.merchant_votes.items()},
             user_labels=labels,
             user_scores=scores,
+            merchant_votes=dict(table.merchant_votes),
             ranked_users=labels[order],
             ranked_scores=scores[order],
             stale_members=detector.stale_members,
@@ -133,6 +119,17 @@ class ScoreSnapshot:
             n_edges=graph.n_edges,
             watermark=watermark,
         )
+
+    @cached_property
+    def _sorted_users(self) -> np.ndarray:
+        """The user labels in ascending order, for :meth:`knows_user`."""
+        return np.sort(self.user_labels)
+
+    @cached_property
+    def user_votes(self) -> dict[int, int]:
+        """``label -> votes`` of every voted user (built on first use)."""
+        hit = np.flatnonzero(self.user_scores)
+        return dict(zip(self.user_labels[hit].tolist(), self.user_scores[hit].astype(int).tolist()))
 
     # ------------------------------------------------------------------
     # reads
@@ -143,8 +140,10 @@ class ScoreSnapshot:
         return float(self.user_votes.get(int(label), 0))
 
     def knows_user(self, label: int) -> bool:
-        """Whether ``label`` is a user of the snapshot graph."""
-        return bool(np.any(self.user_labels == int(label)))
+        """Whether ``label`` is a user of the snapshot graph (binary search)."""
+        ordered = self._sorted_users
+        position = int(np.searchsorted(ordered, int(label)))
+        return position < ordered.size and int(ordered[position]) == int(label)
 
     def top(self, k: int) -> list[tuple[int, float]]:
         """The ``k`` most suspicious ``(label, score)`` pairs.

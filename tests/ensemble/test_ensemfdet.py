@@ -159,7 +159,7 @@ class TestExecutors:
         chunked = detect_on_samples(samples, config, mode=ExecutorMode.PROCESS, n_workers=3)
         assert len(chunked) == len(serial)
         for a, b in zip(serial, chunked):
-            assert a.sample_users == b.sample_users
+            assert np.array_equal(a.sample_users, b.sample_users)
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 
     def test_engine_override_matches(self, toy):

@@ -153,7 +153,7 @@ class TestShardFaults:
         finally:
             disarm()
 
-    def test_merge_fault_falls_back_to_python_merge(self, graph):
+    def test_merge_fault_falls_back_to_global_tally(self, graph):
         make = lambda: StableEdgeSampler(0.35, stripe=64)
         reference = _tables(EnsemFDet(_config(make())).fit(graph))
         arm("raise:point=shard.merge,times=-1")

@@ -10,6 +10,8 @@ bitwise-identical — including through the ``.bak`` recovery path.
 from __future__ import annotations
 
 import glob
+import hashlib
+import json
 import os
 import shutil
 
@@ -123,3 +125,41 @@ def test_unsupported_future_version_is_rejected(tmp_path):
         np.savez_compressed(fh, **arrays)
     with pytest.raises(StateError, match="not supported"):
         load_detection_state(target)
+
+
+#: vote-table digests of each fixture, recorded with the label-keyed
+#: ``Counter`` table the dense arrays replaced
+FIXTURE_VOTE_DIGESTS = {
+    "state_v1.npz": "dc8249191c780398",
+    "state_v2.npz": "dc8249191c780398",
+    "state_v3.npz": "58eeb9d11295bca3",
+}
+
+
+def _vote_digest(table) -> str:
+    digest = hashlib.sha256()
+    for view in (
+        table.user_votes,
+        table.merchant_votes,
+        table.user_appearances,
+        table.merchant_appearances,
+    ):
+        pairs = None if view is None else sorted((int(k), int(v)) for k, v in view.items())
+        digest.update(json.dumps(pairs).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=os.path.basename)
+def test_legacy_fixture_vote_table_is_unchanged(fixture, tmp_path):
+    detector = IncrementalEnsemFDet.load(fixture)
+    assert _vote_digest(detector.vote_table) == FIXTURE_VOTE_DIGESTS[os.path.basename(fixture)]
+    # the per-member arrays the dense table re-derives are the stored ones
+    stored, derived = load_detection_state(fixture), detector.state()
+    for name in ("detected_users", "detected_merchants", "sample_users", "sample_merchants"):
+        assert len(getattr(stored, name)) == len(getattr(derived, name))
+        for left, right in zip(getattr(stored, name), getattr(derived, name)):
+            assert left.dtype == right.dtype and np.array_equal(left, right)
+    # and a v4 re-save through the detector reloads to the same table
+    detector.save(tmp_path / "v4.npz")
+    reloaded = IncrementalEnsemFDet.load(tmp_path / "v4.npz")
+    assert _vote_digest(reloaded.vote_table) == _vote_digest(detector.vote_table)

@@ -12,6 +12,8 @@ shared-memory on / off) and both weight policies.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.fdet import (
 )
 from repro.fdet import batched, peeling_fast
 from repro.fdet._native import native_available
-from repro.graph import WindowConfig
+from repro.graph import BipartiteGraph, WindowConfig
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -77,8 +79,8 @@ def assert_same_detection(left, right):
     assert np.array_equal(lres.detected_users(), rres.detected_users())
     assert np.array_equal(lres.detected_merchants(), rres.detected_merchants())
     if left.sample_users is not None or right.sample_users is not None:
-        assert left.sample_users == right.sample_users
-        assert left.sample_merchants == right.sample_merchants
+        assert np.array_equal(left.sample_users, right.sample_users)
+        assert np.array_equal(left.sample_merchants, right.sample_merchants)
 
 
 def assert_tables_equal(a, b):
@@ -345,25 +347,60 @@ class TestBackendMatrix:
 
 
 class TestNativeVoteMerge:
+    @staticmethod
+    def _label_tally(detections):
+        """The reference: one Counter update per member's detected labels."""
+        users, merchants = Counter(), Counter()
+        for d in detections:
+            users.update(d.result.detected_users().tolist())
+            merchants.update(d.result.detected_merchants().tolist())
+        return users, merchants
+
+    @staticmethod
+    def _mapping(counts, labels):
+        hit = np.flatnonzero(counts)
+        return dict(zip(labels[hit].tolist(), counts[hit].tolist()))
+
+    def _assert_matches_label_tally(self, detections, graph):
+        counters = batched.vote_counters(detections, graph)
+        users, merchants = self._label_tally(detections)
+        assert counters[0].dtype == np.int32
+        assert self._mapping(counters[0], graph.user_labels) == dict(users)
+        assert self._mapping(counters[1], graph.merchant_labels) == dict(merchants)
+
     def test_counters_match_python_tally(self, weighted_graph):
         config = EnsemFDetConfig(
             sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5, native_batch=True
         )
         result = EnsemFDet(config).fit(weighted_graph)
-        counters = batched.vote_counters(result.sample_detections, weighted_graph)
-        assert counters is not None
-        from repro.ensemble.voting import VoteTable
+        assert all(d.detected_user_indices is not None for d in result.sample_detections)
+        self._assert_matches_label_tally(result.sample_detections, weighted_graph)
 
-        expected = VoteTable.from_detections(
-            [d.result.detected_users().tolist() for d in result.sample_detections],
-            [d.result.detected_merchants().tolist() for d in result.sample_detections],
-        )
-        assert dict(counters[0]) == dict(expected.user_votes)
-        assert dict(counters[1]) == dict(expected.merchant_votes)
-
-    def test_refuses_detections_without_indices(self, weighted_graph):
+    def test_tallies_detections_without_indices(self, weighted_graph):
         config = EnsemFDetConfig(
             sampler=RandomEdgeSampler(0.35), n_samples=4, seed=5, native_batch=False
         )
         result = EnsemFDet(config).fit(weighted_graph)
-        assert batched.vote_counters(result.sample_detections, weighted_graph) is None
+        assert all(d.detected_user_indices is None for d in result.sample_detections)
+        self._assert_matches_label_tally(result.sample_detections, weighted_graph)
+
+    def test_repeated_labels_vote_once_per_member(self):
+        # every label names two nodes: a member detecting both still
+        # votes that label once, exactly like the label tally
+        base = uniform_bipartite(60, 30, 500, rng=4)
+        graph = BipartiteGraph(
+            base.n_users,
+            base.n_merchants,
+            base.edge_users,
+            base.edge_merchants,
+            user_labels=np.arange(base.n_users) // 2,
+            merchant_labels=np.arange(base.n_merchants) // 2,
+        )
+        config = EnsemFDetConfig(
+            sampler=RandomEdgeSampler(0.5), n_samples=6, seed=1, native_batch=True
+        )
+        result = EnsemFDet(config).fit(graph)
+        self._assert_matches_label_tally(result.sample_detections, graph)
+        users, merchants = self._label_tally(result.sample_detections)
+        assert result.vote_table.user_votes == users
+        assert result.vote_table.merchant_votes == merchants

@@ -21,7 +21,7 @@ from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.graph import GraphAccumulator, WindowConfig
 from repro.sampling import StableEdgeSampler
-from repro.serve import DetectionService, ScoreSnapshot
+from repro.serve import DetectionService
 
 
 @pytest.fixture(autouse=True)
@@ -230,6 +230,9 @@ class TestSnapshotIsolation:
         observed: dict[int, set] = {}
         errors: list[BaseException] = []
         done = threading.Event()
+        final = len(batches) + 1
+        # set by a reader once it has read the boot / the final version
+        seen = {1: threading.Event(), final: threading.Event()}
 
         def reader():
             try:
@@ -238,6 +241,8 @@ class TestSnapshotIsolation:
                     observed.setdefault(snapshot.version, set()).add(
                         snapshot.vote_fingerprint()
                     )
+                    if snapshot.version in seen:
+                        seen[snapshot.version].set()
             except BaseException as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
@@ -245,10 +250,15 @@ class TestSnapshotIsolation:
         for thread in threads:
             thread.start()
         try:
+            # a reader must have read the boot snapshot before it changes
+            seen[1].wait(timeout=30)
             if arm_plan:
                 arm(arm_plan)
             for k, (users, merchants) in enumerate(batches, start=1):
                 service.ingest(users, merchants, timestamp=float(k))
+            # ingest returns once its snapshot is published; a reader must
+            # read the final one before the readers stop
+            seen[final].wait(timeout=30)
         finally:
             done.set()
             for thread in threads:
