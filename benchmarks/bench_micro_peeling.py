@@ -54,11 +54,11 @@ def test_peel_scaling_is_near_linear(engine):
 def test_fast_engine_speedup():
     """The acceptance bar: fast >= 5x reference at the 32k-user size.
 
-    Requires the native core (any system C compiler); the pure-Python
-    fallback is exact but only modestly faster than the reference.
+    Requires the native core (any system C compiler); without one the fast
+    engine runs the reference engine.
     """
     if not native_available():
-        pytest.skip("no C compiler available - fast engine runs its Python fallback")
+        pytest.skip("no C compiler available - fast engine runs the reference engine")
     n_users, n_merchants, n_edges = SIZES[-1]
     metric = LogWeightedDensity()
 

@@ -78,15 +78,17 @@ class EnsemFDetConfig:
         Batched native backend: peel all eligible members of an attempt in
         one multi-member kernel call. ``None``
         (the default) defers to ``REPRO_NATIVE_BATCH`` (on unless set to
-        0); ``False`` forces the per-member path. Results are bitwise
-        identical either way.
+        0); ``False`` runs each member alone through :meth:`Fdet.detect`,
+        which under the ``fast`` engine is a one-member kernel call, so it
+        does not avoid the kernel (use the ``reference`` engine for that).
+        Results are bitwise identical either way.
     shards:
         Stripe-shard the fit: members are split into this many contiguous
         groups, each run against a shard store holding only the edges its
         members sample, and the per-shard vote tables are merged — bitwise
         identical to the unsharded fit (see
         :mod:`repro.ensemble.sharding`). ``1`` (the default) disables
-        sharding. Requires edge-list-reducible plans ("edges"/"stripes").
+        sharding. Works with every sampler.
     mmap:
         Out-of-core transport: ship the parent (or each shard store) to
         process workers as an mmap-able store file instead of a shared

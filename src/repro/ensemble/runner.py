@@ -9,14 +9,16 @@ Two fan-out shapes live here:
   a file-backed store, spilled once to an mmap-able store file), workers
   attach **once per process** (pool initializer for one-shot pools, a
   process-local cache for :class:`~repro.parallel.ReusablePool` workers)
-  and each compact :class:`~repro.sampling.SamplePlan` is materialized
-  worker-side through the trusted constructor — zero graph bytes are
-  pickled per ensemble member, only the ~1%-sized plans and a ~100-byte
-  :class:`~repro.graph.StoreLayout` descriptor. A parent opened straight
-  from a store file (:meth:`GraphStore.open`) ships just its path+layout:
-  workers map the same file lazily, so out-of-core graphs never
-  materialize in any process. Serial and thread backends skip the
-  segment and materialize against the in-process graph directly.
+  and run their chunk of compact plans (:class:`~repro.sampling.SamplePlan`
+  of every kind: edge lists, node picks, stripe rows) through one batched
+  kernel call — zero graph bytes are pickled per ensemble member, only
+  the ~1%-sized plans and a ~100-byte :class:`~repro.graph.StoreLayout`
+  descriptor. A parent opened straight from a store file
+  (:meth:`GraphStore.open`) ships just its path+layout: workers map the
+  same file lazily, so out-of-core graphs never materialize in any
+  process. Serial and thread backends skip the segment and run against
+  the in-process graph directly. One chunk function
+  (:func:`_detect_member_chunk`) serves every backend.
 * :func:`detect_on_samples` — the historical eager shape, mapping already
   materialized subgraphs. Kept for callers that hold real subgraphs (and
   as the reference the plan pipeline is parity-tested against).
@@ -26,8 +28,9 @@ engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
 policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
 the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → thread → serial) and shared-memory → pickled-store
-fallback — and whatever still fails after the last round comes back as a
+degradation (process → thread → serial), shared-memory → pickled-store
+fallback and, after a worker crash, kernel → reference-engine fallback —
+and whatever still fails after the last round comes back as a
 typed :class:`MemberFailure` instead of an exception. The parent-side
 shared segment is unlinked on **every** exit path (normal, crash, timeout,
 KeyboardInterrupt), backstopped by the store's ``weakref.finalize``.
@@ -56,7 +59,7 @@ import numpy as np
 
 from ..errors import GraphError, InjectedFault, MemberTimeoutError, WorkerCrashError
 from ..faults import fault_point
-from ..fdet import Fdet, FdetConfig, FdetResult
+from ..fdet import Fdet, FdetConfig, FdetResult, PeelEngine
 from ..fdet import batched as _batched
 from ..fdet._native import native_threads
 from ..graph import BipartiteGraph, GraphStore, StoreLayout, attached_store
@@ -223,23 +226,6 @@ def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> Sa
     )
 
 
-def _batch_detect_many(
-    graph: BipartiteGraph,
-    batch_work: list[tuple[int, SamplePlan]],
-    config: FdetConfig,
-    window: EdgeWindow | None,
-    threads: int,
-) -> list["_batched.NativeDetection | None"]:
-    """One guarded kernel call; a refusal or error falls back per member."""
-    try:
-        native = _batched.detect_many(
-            graph, [plan for _, plan in batch_work], config, window, threads
-        )
-    except Exception:  # noqa: BLE001 - batch is an optimization, never a failure source
-        native = None
-    return native if native is not None else [None] * len(batch_work)
-
-
 def _detect_member_chunk(
     args: tuple[
         BipartiteGraph | GraphStore | StoreLayout,
@@ -251,16 +237,21 @@ def _detect_member_chunk(
         bool,
         int,
     ]
-) -> list[tuple[int, SampleDetection]]:
+) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
     """Run a chunk of ``(member_index, plan)`` pairs in whatever process.
 
-    The per-member injection points fire *inside* the worker, so chaos
-    plans exercise the real fan-out path (chunk pickling, segment attach,
-    materialization) unmodified. With the batched native backend enabled,
-    eligible members of the chunk run through one multi-member kernel call
-    (``native_threads`` wide); ineligible plans, ineligible configs and
-    members whose kernel slot reports an allocation failure take the
-    per-member materialize-and-detect path, bitwise identically.
+    Returns ``(results, failures)`` keyed by member index: a member whose
+    own code raises fails alone, recorded with its kind, and the rest of
+    the chunk still runs. The per-member injection points fire *inside*
+    the worker, so chaos plans exercise the real fan-out path (chunk
+    pickling, segment attach, materialization) unmodified.
+
+    With the batched backend on and an eligible config, the chunk's
+    members run through one multi-member kernel call (``threads`` wide).
+    A member the batch cannot finish (an in-kernel allocation failure, or
+    a batch-level error such as a plan that does not fit the window)
+    re-runs alone through ``materialize_plan`` + ``Fdet.detect``, so only
+    the members at fault fail.
     """
     source, config, members, track_members, attempt, window, native_batch, threads = args
     graph, window = _resolve_parent(source, window)
@@ -270,25 +261,39 @@ def _detect_member_chunk(
         and _batched.config_eligible(config)
         and _batched.batch_kernels() is not None
     )
-    out: list[tuple[int, SampleDetection]] = []
+    results: dict[int, SampleDetection] = {}
+    failures: dict[int, tuple[str, BaseException]] = {}
     batch_work: list[tuple[int, SamplePlan]] = []
+    alone: list[tuple[int, SamplePlan]] = []
     for index, plan in members:
-        fault_point("member.detect", index=index, attempt=attempt)
-        if use_batch and _batched.plan_eligible(plan):
-            fault_point("native.peel", index=index, attempt=attempt)
-            batch_work.append((index, plan))
-            continue
-        subgraph = materialize_plan(graph, plan, window)
-        out.append((index, _detection(fdet, subgraph, track_members)))
-    if batch_work:
-        native = _batch_detect_many(graph, batch_work, config, window, threads)
-        for (index, plan), nd in zip(batch_work, native):
-            if nd is None:
-                subgraph = materialize_plan(graph, plan, window)
-                out.append((index, _detection(fdet, subgraph, track_members)))
+        try:
+            fault_point("member.detect", index=index, attempt=attempt)
+            if use_batch:
+                fault_point("native.peel", index=index, attempt=attempt)
+                batch_work.append((index, plan))
             else:
-                out.append((index, _native_detection(nd, track_members)))
-    return out
+                alone.append((index, plan))
+        except Exception as exc:  # noqa: BLE001 - recorded, retried, re-raised by strict callers
+            failures[index] = (_classify(exc), exc)
+    try:
+        native = _batched.detect_many(
+            graph, [plan for _, plan in batch_work], config, window, threads
+        )
+    except Exception:  # noqa: BLE001 - each member re-runs alone and fails on its own
+        native = None
+    for (index, plan), nd in zip(batch_work, native or [None] * len(batch_work)):
+        if nd is None:
+            alone.append((index, plan))
+        else:
+            results[index] = _native_detection(nd, track_members)
+    for index, plan in alone:
+        try:
+            results[index] = _detection(
+                fdet, materialize_plan(graph, plan, window), track_members
+            )
+        except Exception as exc:  # noqa: BLE001 - same contract as above
+            failures[index] = (_classify(exc), exc)
+    return results, failures
 
 
 def _chunked(items: list, n_chunks: int) -> list[list]:
@@ -339,58 +344,6 @@ def _degraded_backend(mode: str, retry_round: int, tolerance: FaultTolerance) ->
     return ladder[min(retry_round - 1, len(ladder) - 1)]
 
 
-def _run_serial(
-    graph: BipartiteGraph,
-    work: list[tuple[int, SamplePlan]],
-    config: FdetConfig,
-    track_members: bool,
-    attempt: int,
-    window: EdgeWindow | None = None,
-    native_batch: bool = False,
-) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
-    """In-parent attempt: no pool, no pickling, nothing left to degrade to.
-
-    With ``native_batch``, eligible members run through one multi-member
-    kernel call; each still gets its own ``member.detect`` / ``native.peel``
-    fault points (fired in work order, per-member failure isolation), and
-    anything the kernel cannot take falls back to the per-member path.
-    """
-    fdet = Fdet(config)
-    results: dict[int, SampleDetection] = {}
-    failures: dict[int, tuple[str, BaseException]] = {}
-    use_batch = (
-        native_batch
-        and _batched.config_eligible(config)
-        and _batched.batch_kernels() is not None
-    )
-    batch_work: list[tuple[int, SamplePlan]] = []
-    for index, plan in work:
-        try:
-            fault_point("member.detect", index=index, attempt=attempt)
-            if use_batch and _batched.plan_eligible(plan):
-                fault_point("native.peel", index=index, attempt=attempt)
-                batch_work.append((index, plan))
-                continue
-            results[index] = _detection(
-                fdet, materialize_plan(graph, plan, window), track_members
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded, retried, re-raised by strict callers
-            failures[index] = (_classify(exc), exc)
-    if batch_work:
-        native = _batch_detect_many(graph, batch_work, config, window, native_threads(1))
-        for (index, plan), nd in zip(batch_work, native):
-            if nd is not None:
-                results[index] = _native_detection(nd, track_members)
-                continue
-            try:
-                results[index] = _detection(
-                    fdet, materialize_plan(graph, plan, window), track_members
-                )
-            except Exception as exc:  # noqa: BLE001 - same contract as above
-                failures[index] = (_classify(exc), exc)
-    return results, failures
-
-
 def _gather_chunk_futures(
     futures: list[Future],
     chunks: list[list[tuple[int, SamplePlan]]],
@@ -398,10 +351,12 @@ def _gather_chunk_futures(
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], bool]:
     """Collect per-chunk futures with one shared wall-clock deadline.
 
-    Returns ``(results, failures, timed_out)``. The deadline is
-    ``member_timeout × largest chunk`` — chunks run concurrently, so any
-    chunk still unfinished then has spent more than its own budget.
-    Completed futures keep their results even if the pool broke later.
+    Returns ``(results, failures, timed_out)``: each finished chunk's
+    per-member results and failures, plus every member of a chunk that
+    timed out or whose worker died. The deadline is ``member_timeout ×
+    largest chunk`` — chunks run concurrently, so any chunk still
+    unfinished then has spent more than its own budget. Completed futures
+    keep their results even if the pool broke later.
     """
     results: dict[int, SampleDetection] = {}
     failures: dict[int, tuple[str, BaseException]] = {}
@@ -414,8 +369,9 @@ def _gather_chunk_futures(
         if deadline is not None:
             remaining = max(0.001, deadline - _time.monotonic())
         try:
-            for index, detection in future.result(timeout=remaining):
-                results[index] = detection
+            chunk_results, chunk_failures = future.result(timeout=remaining)
+            results.update(chunk_results)
+            failures.update(chunk_failures)
         except TimeoutError as exc:
             timed_out = True
             for index, _ in chunk:
@@ -593,12 +549,15 @@ def run_members(
 ) -> MemberRun:
     """Fault-tolerant fan-out: every plan either detects or fails *typed*.
 
-    ``native_batch`` selects the batched native backend (eligible members
-    of an attempt peel through one multi-member kernel call on every
-    execution backend); ``None`` defers to ``REPRO_NATIVE_BATCH`` (default
-    on). The switch composes with the degradation ladder: a worker-crash
-    round additionally disables batching for the remaining retries, the
-    way shm failures disable the shared segment.
+    ``native_batch`` selects the batched native backend (each chunk of an
+    attempt peels through one multi-member kernel call on every execution
+    backend; off, each member is materialized and detected alone through
+    :meth:`Fdet.detect`, which under the ``fast`` engine is a one-member
+    kernel call); ``None`` defers to ``REPRO_NATIVE_BATCH`` (default on).
+    The degradation ladder has a kernel rung: a worker-crash round may
+    mean the kernel crashed, so the remaining retries run each member
+    alone on the reference engine, which never calls the kernel — the way
+    shm failures disable the shared segment.
 
     ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
     graph — in particular one opened straight from a store file
@@ -683,8 +642,9 @@ def run_members(
             effective = n_workers or default_workers(len(work))
             in_parent = effective <= 1 or len(work) == 1
         if in_parent:
-            results, failures = _run_serial(
-                graph, work, config, track_members, attempt, window, use_batch
+            # no pool, no pickling, nothing left to degrade to
+            results, failures = _detect_member_chunk(
+                (graph, config, work, track_members, attempt, window, use_batch, native_threads(1))
             )
             transport = "local"
         else:
@@ -716,6 +676,7 @@ def run_members(
                 "shared_memory": transport == "shm",
                 "transport": transport,
                 "native_batch": bool(use_batch),
+                "engine": config.engine,
                 "members": [int(i) for i in pending],
                 "failed": [int(i) for i in failed],
                 "kinds": {str(i): failures[i][0] for i in failed},
@@ -727,10 +688,11 @@ def run_members(
             # file map failed) — pickled store next
             use_shm = False
             use_mmap = False
-        if use_batch and any(kind == FAIL_CRASH for kind, _ in failures.values()):
-            # a dead worker may mean the native batch itself crashed —
-            # retries degrade to the per-member path, like shm degrades
+        if any(kind == FAIL_CRASH for kind, _ in failures.values()):
+            # a dead worker may mean the kernel crashed — retries run each
+            # member alone on the reference engine, like shm degrades
             use_batch = False
+            config = _maybe_override_engine(config, PeelEngine.REFERENCE)
         pending = failed
 
     failures_out = tuple(

@@ -14,17 +14,18 @@ Bitwise parity is the contract, achieved by construction:
   arrays by reference), so every worker-side node compaction, label gather
   and detected-node index is in parent coordinates, unchanged;
 * each member's plan is rewritten to an ``"edges"``-kind plan over shard
-  rows that reproduces the member's parent edge sequence *in the same
-  order* (ascending for stripe/window masks, plan order for edge plans) —
-  so adjacency construction and peel tie-breaking are identical;
+  rows that reproduces the member's parent edge sequence
+  (:func:`~repro.sampling.plan_edge_ids`) *in the same order* — so
+  adjacency construction and peel tie-breaking are identical;
 * liveness overlays are folded into the shard rows at partition time, so
   windowed fits shard exactly like frozen ones;
 * votes are integer counts: per-shard dense tallies summed shard by
   shard (:func:`merge_shard_votes`) equal the global tally exactly.
 
-Works for any sampler whose plans reduce to parent edge-id lists ("edges"
-and "stripes" kinds — RES and the stable sampler); node-kind plans depend
-on cross-member node structure and raise :class:`~repro.errors.DetectionError`.
+Every plan kind reduces to a parent edge-id list, so every sampler shards
+(RES, ONS, TNS and the stable sampler); windowed fits need stripe plans,
+like unsharded ones, and raise :class:`~repro.errors.SamplingError`
+otherwise.
 
 With ``mmap=True`` each shard store is spilled to a temporary store file
 and reopened as a lazy map before its members run, so the parent process
@@ -49,7 +50,7 @@ from ..fdet import batched as _batched
 from ..graph import BipartiteGraph, GraphStore
 from ..graph.window import EdgeWindow
 from ..parallel import ExecutorMode, FaultTolerance, ReusablePool
-from ..sampling import SamplePlan, compact_indices
+from ..sampling import SamplePlan, compact_indices, plan_edge_ids
 from .runner import MemberRun, SampleDetection, run_members
 
 __all__ = ["ShardPlan", "merge_shard_votes", "plan_shards", "run_sharded"]
@@ -85,22 +86,6 @@ def plan_shards(n_samples: int, n_shards: int) -> ShardPlan:
         groups.append(tuple(range(start, start + size)))
         start += size
     return ShardPlan(members=tuple(groups))
-
-
-def _member_parent_ids(
-    plan: SamplePlan, n_edges: int, window: EdgeWindow | None
-) -> np.ndarray:
-    """The parent edge ids one member keeps, in its materialization order."""
-    if plan.kind not in ("edges", "stripes"):
-        raise DetectionError(
-            f"sharding requires plans that reduce to parent edge lists "
-            f"('edges'/'stripes'), got {plan.kind!r} — run unsharded (shards=1)"
-        )
-    if window is not None and plan.kind != "stripes":
-        raise DetectionError(
-            f"windowed sharding requires stripe plans, got {plan.kind!r}"
-        )
-    return _batched.plan_edge_ids(plan, n_edges, window)
 
 
 def _shard_store(parent: GraphStore, rows: np.ndarray) -> GraphStore:
@@ -158,7 +143,8 @@ def run_sharded(
     store = graph if isinstance(graph, GraphStore) else GraphStore.from_graph(graph, window)
     if window is None:
         window = store.edge_window()
-    n_edges = store.n_edges
+    parent = store.to_graph()
+    n_edges = parent.n_edges
 
     detections: list[SampleDetection | None] = [None] * len(plans)
     failures = []
@@ -172,7 +158,7 @@ def run_sharded(
         union = np.zeros(n_edges, dtype=bool)
         member_ids = []
         for index in members:
-            ids = _member_parent_ids(plans[index], n_edges, window)
+            ids = plan_edge_ids(parent, plans[index], window)
             member_ids.append(ids)
             union[ids] = True
         rows = np.nonzero(union)[0]

@@ -1,6 +1,6 @@
 """On-demand compilation and loading of the C peeling kernels.
 
-The ``fast`` peel engine prefers a small dependency-free C kernel
+The ``fast`` peel engine runs a small dependency-free C kernel
 (``_peel_kernel.c``) driven through :mod:`ctypes`. The kernel has no
 Python.h dependency, so any system C compiler can build it; the shared
 object is cached in a stable per-user directory keyed by the source hash
@@ -15,9 +15,10 @@ The shared object exports several entry points, loaded together as a
 :class:`NativeKernels` handle:
 
 ``repro_greedy_peel``
-    One peel of one flattened graph (used by :mod:`.peeling_fast`).
+    One peel of one flattened graph (``greedy_peel(engine="fast")``).
 ``repro_fdet_batch``
-    The batched multi-member FDET loop (used by :mod:`.batched`).
+    The FDET block loop for many members in one call (:mod:`.batched`):
+    every ensemble member, and ``Fdet.detect`` as one all-edges member.
 ``repro_pairwise_sum``
     numpy-replica pairwise summation, exported so the Python side can
     probe bitwise agreement with ``np.sum`` before trusting the batch
@@ -32,7 +33,7 @@ oversubscription when an outer process pool is already fanning out.
 
 Everything here degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NATIVE=0`` in the environment all simply yield ``None``, and the
-fast engine falls back to its pure-Python core (same results, smaller
+fast engine falls back to the reference engine (same results, no
 speedup). Nothing is ever installed — the toolchain already present on the
 host is all that is used.
 """
@@ -243,6 +244,7 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
         ctypes.c_int64,  # min_block_edges
         ctypes.c_double,  # min_density_ratio
         ctypes.c_int64,  # frozen_policy
+        ctypes.c_int64,  # keep_nodes
         ctypes.c_int64,  # n_threads
         i64_array,  # out_status
         i64_array,  # out_nu
@@ -296,7 +298,7 @@ def load_kernels() -> NativeKernels | None:
             else:
                 try:
                     _kernels = _compile_and_load() or False
-                except Exception:  # any toolchain hiccup -> python fallback
+                except Exception:  # any toolchain hiccup -> reference fallback
                     _kernels = False
         return _kernels or None
 

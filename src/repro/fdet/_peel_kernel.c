@@ -2,11 +2,10 @@
  *
  * Everything in this file is an exact replica of the Python reference path —
  * same float64 operations in the same order on the same values — so results
- * are bitwise identical to the pure-Python engines. Two entry points:
+ * are bitwise identical to the pure-Python reference engine. Two entry points:
  *
  * ``repro_greedy_peel``
- *     One peel of one flattened graph (the historical kernel ABI). The
- *     internals are the ``_python_core`` algorithm of ``peeling_fast.py``: the
+ *     One peel of one flattened graph (``greedy_peel``'s fast engine). The
  *     initial per-node entries live in a radix-sorted "clean" stream consumed
  *     by a moving pointer, and only re-prioritised nodes enter a small binary
  *     "hot" heap. Under the shared lazy-deletion rule (lexicographic
@@ -19,10 +18,12 @@
  *     parent edge arrays are shared read-only, each member is described by a
  *     list of parent edge ids (in member order), and the kernel performs node
  *     compaction, CSR construction, per-block degree/weight/priority
- *     preparation, the peel, and block bookkeeping — everything the Python
- *     ``Fdet.detect`` + ``fast_peel`` pair does per member, without
- *     materialising a subgraph object. Members are independent; with OpenMP
- *     the loop runs ``n_threads`` wide (serial otherwise).
+ *     preparation, the peel, and block bookkeeping — everything
+ *     ``materialize_plan`` + the reference ``Fdet.detect`` do per member,
+ *     without materialising a subgraph object. ``Fdet.detect`` itself runs
+ *     here as one all-edges member that keeps every node (``keep_nodes``).
+ *     Members are independent; with OpenMP the loop runs ``n_threads`` wide
+ *     (serial otherwise).
  *
  * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py):
  *   - ``pairwise_sum`` replicates numpy's scalar pairwise summation
@@ -439,6 +440,7 @@ typedef struct {
     int64_t min_block_edges;
     double min_density_ratio;
     int64_t frozen_policy;
+    int64_t keep_nodes; /* 1: members keep every parent node, isolated ones too */
     /* outputs */
     int64_t *out_status;
     int64_t *out_nu;
@@ -457,7 +459,7 @@ typedef struct {
 /* One member's full FDET run (Algorithm 1): node compaction, CSR build,
  * block loop with residual weights, peel, mask bookkeeping. Sets
  * out_status[m] = -1 on allocation failure (the caller re-runs the member
- * through the Python path). */
+ * on its own). */
 static void run_member(const batch_args_t *a, int64_t m)
 {
     int64_t me = a->edge_off[m + 1] - a->edge_off[m];
@@ -481,7 +483,8 @@ static void run_member(const batch_args_t *a, int64_t m)
     memset(&scratch, 0, sizeof(scratch));
     int scratch_ok = 0;
 
-    /* ---- node compaction: np.unique(endpoints, return_inverse=True) ---- */
+    /* ---- node compaction: np.unique(endpoints, return_inverse=True);
+     * with keep_nodes every parent node stays (the identity relabel) ---- */
     present_u = (uint8_t *)calloc((size_t)a->pn_users, 1);
     present_m = (uint8_t *)calloc((size_t)a->pn_merchants, 1);
     remap_u = (int64_t *)malloc((size_t)a->pn_users * sizeof(int64_t));
@@ -500,13 +503,13 @@ static void run_member(const batch_args_t *a, int64_t m)
     {
         int64_t *ku = a->kept_users + a->ku_off[m];
         for (int64_t u = 0; u < a->pn_users; u++)
-            if (present_u[u]) {
+            if (present_u[u] || a->keep_nodes) {
                 ku[nu] = u;
                 remap_u[u] = nu++;
             }
         int64_t *km = a->kept_merchants + a->km_off[m];
         for (int64_t v = 0; v < a->pn_merchants; v++)
-            if (present_m[v]) {
+            if (present_m[v] || a->keep_nodes) {
                 km[nm] = v;
                 remap_m[v] = nm++;
             }
@@ -745,6 +748,7 @@ int64_t repro_fdet_batch(
     int64_t min_block_edges,
     double min_density_ratio,
     int64_t frozen_policy,
+    int64_t keep_nodes,
     int64_t n_threads,
     int64_t *out_status,
     int64_t *out_nu,
@@ -775,6 +779,7 @@ int64_t repro_fdet_batch(
     args.min_block_edges = min_block_edges;
     args.min_density_ratio = min_density_ratio;
     args.frozen_policy = frozen_policy;
+    args.keep_nodes = keep_nodes;
     args.out_status = out_status;
     args.out_nu = out_nu;
     args.out_nm = out_nm;

@@ -1,33 +1,33 @@
-"""Batched multi-member FDET: many sampled members, one native kernel call.
+"""Batched multi-member FDET: many members, one native kernel call.
 
-The ensemble's hot loop used to materialize every member as a fresh
-:class:`~repro.graph.BipartiteGraph` (node compaction, adjacency sort,
-weight gather) and then run FDET block by block through per-peel kernel
-calls. This module drives the ``repro_fdet_batch`` entry point of
-``_peel_kernel.c`` instead: the parent's edge arrays are shared read-only,
-each member is described only by its parent edge-id list (derived straight
-from the :class:`~repro.sampling.SamplePlan`, windowed liveness AND-ed in),
-and the kernel performs compaction, CSR construction, the full block loop
-and the peels for **all members in one call** — OpenMP-parallel across
-members when available.
+This module drives the ``repro_fdet_batch`` entry point of
+``_peel_kernel.c``, the one fast compute path of FDET: the parent's edge
+arrays are shared read-only, each member is described only by its parent
+edge-id list (:func:`repro.sampling.plan_edge_ids`, windowed liveness
+AND-ed in), and the kernel performs node compaction, CSR construction, the
+full block loop and the peels for **all members in one call** —
+OpenMP-parallel across members when available. Every
+:class:`~repro.sampling.SamplePlan` kind (RES edge lists, ONS/TNS node
+picks, stripe rows) reduces to such a list, and ``Fdet.detect`` runs its
+graph here as one all-edges member that keeps every node.
 
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
-plan→edge-id expansion, marshalling, truncation, :class:`Block` /
-:class:`FdetResult` assembly, and the vote tally (``np.bincount`` over
-the members' parent node indices). Everything the kernel computes is
-**bitwise identical** to the reference pipeline
-(``materialize_plan`` + ``Fdet.detect``) — enforced by
-``tests/fdet/test_batched_parity.py`` across sampler families, window
+marshalling, truncation, :class:`Block` / :class:`FdetResult` assembly,
+and the vote tally (``np.bincount`` over the members' parent node
+indices). Everything the kernel computes is **bitwise identical** to the
+reference pipeline (``materialize_plan`` + the reference
+``Fdet.detect``) — enforced by ``tests/fdet/test_batched_parity.py``,
+``tests/ensemble/test_plan_parity.py`` and
+``tests/fdet/test_engine_parity.py`` across sampler families, window
 modes and execution backends.
 
-Gating is conservative: the batch path only engages for the stock density
-metrics (:class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
-implementations, no prior hooks), the ``fast`` engine, and edge-index or
-stripe-row plans. Anything else — node-kind plans, custom metrics, the
-reference engine — falls back to the per-member path, member by member.
-A load-time probe additionally verifies that the kernel's pairwise
-summation reproduces ``np.sum`` bit for bit on this host and disables the
-batch path when it does not.
+Gating is conservative: the kernel only runs the stock density metrics
+(:class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
+implementations, no prior hooks) under the ``fast`` engine. Anything
+else — custom metrics, priors, the reference engine — runs the reference
+engine. A load-time probe additionally verifies that the kernel's
+pairwise summation reproduces ``np.sum`` bit for bit on this host and
+disables the kernel path when it does not.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import numpy as np
 
 from ..graph import BipartiteGraph
 from ..graph.window import EdgeWindow
-from ..sampling import SamplePlan
-from . import peeling_fast
+from ..sampling import SamplePlan, plan_edge_ids
 from ._native import NativeKernels, load_kernels
 from .density import AverageDegreeDensity, DensityMetric, LogWeightedDensity
 from .fdet import Block, FdetConfig, FdetResult, WeightPolicy
@@ -54,8 +53,6 @@ __all__ = [
     "detect_many",
     "detected_nodes",
     "label_nodes",
-    "plan_eligible",
-    "plan_edge_ids",
     "resolve_native_batch",
     "tally",
     "vote_counters",
@@ -63,7 +60,7 @@ __all__ = [
 
 #: metric implementations the kernel replicates; a subclass overriding any of
 #: these (or the prior hooks) peels positions-dependently for all we know and
-#: must take the per-member Python path
+#: must take the reference engine
 _DEGREE_WEIGHT_IMPLS = (
     LogWeightedDensity.merchant_degree_weights,
     AverageDegreeDensity.merchant_degree_weights,
@@ -101,8 +98,6 @@ def _probe(kernels: NativeKernels) -> bool:
 
 def batch_kernels() -> NativeKernels | None:
     """The kernel handle iff the batch path may be used on this host."""
-    if peeling_fast._force_python:  # test hook: behave like no-native hosts
-        return None
     kernels = load_kernels()
     if kernels is None:
         return None
@@ -122,36 +117,6 @@ def config_eligible(config: FdetConfig) -> bool:
         and metric_cls.merchant_weights is DensityMetric.merchant_weights
         and any(metric_cls.merchant_degree_weights is impl for impl in _DEGREE_WEIGHT_IMPLS)
     )
-
-
-def plan_eligible(plan: SamplePlan) -> bool:
-    """Edge-index and stripe-row plans reduce to parent edge-id lists."""
-    return plan.kind in ("edges", "stripes")
-
-
-def plan_edge_ids(
-    plan: SamplePlan, n_edges: int, window: EdgeWindow | None = None
-) -> np.ndarray:
-    """The parent edge ids ``plan`` keeps — no subgraph construction.
-
-    Mirrors :func:`repro.sampling.materialize_plan` exactly: windowed
-    stripe lookup by append id with the liveness overlay AND-ed in,
-    positional stripe expansion otherwise, and the raw index list for
-    edge-kind plans. Order matters — edge-kind ids stay in plan (chosen)
-    order, mask-derived ids come out ascending — because the member's
-    edge order defines its adjacency and peel tie-breaking.
-    """
-    if window is not None:
-        ids = window.edge_ids if plan.stripe == 1 else window.edge_ids // plan.stripe
-        mask = plan.stripe_row[ids] & window.alive
-        return np.nonzero(mask)[0]
-    if plan.kind == "edges":
-        return np.ascontiguousarray(plan.edge_indices, dtype=np.int64)
-    if plan.kind == "stripes":
-        row = plan.stripe_row
-        mask = row[:n_edges] if plan.stripe == 1 else np.repeat(row, plan.stripe)[:n_edges]
-        return np.nonzero(mask)[0]
-    raise ValueError(f"plan kind {plan.kind!r} has no native edge-id path")
 
 
 def _weight_table(metric: DensityMetric, graph: BipartiteGraph) -> np.ndarray:
@@ -186,21 +151,33 @@ class NativeDetection:
     detected_merchant_indices: np.ndarray
 
 
+def _picked(nodes: np.ndarray | None, side_size: int) -> int:
+    """Most nodes a plan can keep on one side: its pick, else the side."""
+    return side_size if nodes is None else int(nodes.size)
+
+
 def detect_many(
     graph: BipartiteGraph,
     plans: Sequence[SamplePlan],
     config: FdetConfig,
     window: EdgeWindow | None = None,
     n_threads: int = 1,
+    keep_nodes: bool = False,
 ) -> list[NativeDetection | None] | None:
     """Run FDET for every plan in one kernel call.
 
-    Returns ``None`` when the batch path is unavailable; otherwise one
+    Returns ``None`` when the kernel is unavailable; otherwise one
     :class:`NativeDetection` per plan, with ``None`` in a slot whose
     member hit an in-kernel allocation failure (the caller re-runs just
-    that member through the per-member path). The caller is responsible
-    for eligibility (:func:`config_eligible` / :func:`plan_eligible`) and
-    for fault points.
+    that member on its own). A plan that does not fit ``window`` raises
+    :class:`~repro.errors.SamplingError`, like
+    :func:`~repro.sampling.materialize_plan`. The caller is responsible
+    for eligibility (:func:`config_eligible`) and for fault points.
+
+    Members keep the nodes their edges touch, exactly like
+    ``materialize_plan``; ``keep_nodes=True`` keeps every node of
+    ``graph`` instead, isolated ones included, which is how
+    ``Fdet.detect`` peels a graph as it is.
     """
     kernels = batch_kernels()
     if kernels is None or not plans:
@@ -232,24 +209,26 @@ def detect_many(
     w_width = p_w.dtype.itemsize
     weight_table = _weight_table(config.metric, graph)
 
-    ids_list = [plan_edge_ids(plan, graph.n_edges, window) for plan in plans]
+    ids_list = [plan_edge_ids(graph, plan, window) for plan in plans]
     counts = np.array([ids.size for ids in ids_list], dtype=np.int64)
     edge_off = np.zeros(n_members + 1, dtype=np.int64)
     np.cumsum(counts, out=edge_off[1:])
-    edge_ids = (
-        np.ascontiguousarray(np.concatenate(ids_list), dtype=np.int64)
-        if int(edge_off[-1])
-        else np.empty(0, dtype=np.int64)
-    )
+    edge_ids = np.concatenate(ids_list)
+    del ids_list  # the kernel's own allocations can reuse this memory
     scales = np.array(
         [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
         dtype=np.float64,
     )
 
-    # output slabs, sized by per-member upper bounds (a member touches at
-    # most min(|edges|, parent side size) nodes per side)
-    nu_bounds = np.minimum(counts, graph.n_users)
-    nm_bounds = np.minimum(counts, graph.n_merchants)
+    # output slabs, sized by per-member upper bounds: a member touches at
+    # most min(|edges|, parent side size) nodes per side, and a node plan
+    # no more than it sampled
+    if keep_nodes:
+        nu_bounds = np.full(n_members, graph.n_users, dtype=np.int64)
+        nm_bounds = np.full(n_members, graph.n_merchants, dtype=np.int64)
+    else:
+        nu_bounds = np.minimum(counts, [_picked(p.users, graph.n_users) for p in plans])
+        nm_bounds = np.minimum(counts, [_picked(p.merchants, graph.n_merchants) for p in plans])
     ku_off = np.zeros(n_members + 1, dtype=np.int64)
     np.cumsum(nu_bounds, out=ku_off[1:])
     km_off = np.zeros(n_members + 1, dtype=np.int64)
@@ -286,6 +265,7 @@ def detect_many(
         config.min_block_edges,
         float(config.min_density_ratio),
         int(config.weight_policy == WeightPolicy.FROZEN),
+        int(keep_nodes),
         int(n_threads),
         out_status,
         out_nu,
@@ -306,7 +286,7 @@ def detect_many(
     out: list[NativeDetection | None] = []
     for m in range(n_members):
         if out_status[m] != 0:
-            out.append(None)  # in-kernel allocation failure: member falls back
+            out.append(None)  # in-kernel allocation failure: member re-runs alone
             continue
         nu = int(out_nu[m])
         nm = int(out_nm[m])

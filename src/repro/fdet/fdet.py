@@ -21,9 +21,9 @@ import numpy as np
 
 from ..errors import DetectionError, EmptyGraphError
 from ..graph import BipartiteGraph
+from ..sampling import SamplePlan
 from .density import DensityMetric, LogWeightedDensity
 from .peeling import PeelEngine, _build_priors, _reference_peel, greedy_peel
-from .peeling_fast import PeelContext, fast_peel
 from .truncation import SecondDifferenceRule, TruncationRule
 
 __all__ = ["Block", "FdetConfig", "FdetResult", "Fdet", "WeightPolicy"]
@@ -114,8 +114,8 @@ class FdetConfig:
     engine:
         Peeling backend, one of :class:`repro.fdet.PeelEngine`
         (``"reference"`` or ``"fast"``; default ``"fast"``). Both produce
-        identical detections; ``fast`` additionally lets ``detect`` reuse
-        one flattened adjacency across all blocks instead of re-sorting.
+        identical detections; under ``fast``, ``detect`` runs the whole
+        block loop in the batched native kernel.
     """
 
     metric: DensityMetric = field(default_factory=LogWeightedDensity)
@@ -204,14 +204,19 @@ class Fdet:
     def detect(self, graph: BipartiteGraph) -> FdetResult:
         """Extract dense blocks from ``graph`` and truncate at ``k̂``.
 
-        The outer loop is *zero-rebuild*: instead of materialising a fresh
-        graph (O(|E|) validation plus an O(|E| log |E|) adjacency re-sort)
-        after every block, it keeps one edge-alive mask over the input
-        graph, recomputes only the degree-dependent weights on the masked
-        residual, and — under the ``fast`` engine — re-peels through a
-        single flattened adjacency built once for all ``max_blocks``
-        iterations. Detections are identical to the rebuild-per-block
-        formulation under both weight policies and both engines.
+        Under the ``fast`` engine, a config the batched kernel replicates
+        (:func:`repro.fdet.batched.config_eligible`) runs ``graph`` as one
+        all-edges member of :func:`repro.fdet.batched.detect_many` that
+        keeps every node, isolated ones included. Other configs, the
+        ``reference`` engine and hosts without a loaded kernel run the
+        reference loop. Detections are identical either way.
+
+        The reference loop is *zero-rebuild*: instead of materialising a
+        fresh graph (O(|E|) validation plus an O(|E| log |E|) adjacency
+        re-sort) after every block, it keeps one edge-alive mask over the
+        input graph and recomputes only the degree-dependent weights on the
+        masked residual. Detections are identical to the rebuild-per-block
+        formulation under both weight policies.
 
         ``graph`` is accepted as a **trusted view**: detection never
         re-validates and never writes into the graph's arrays, so graphs
@@ -220,6 +225,18 @@ class Fdet:
         every derived quantity (priorities, masks, residual views) is
         allocated fresh. Enforced by the shm parity tests.
         """
+        from . import batched  # deferred: batched builds on this module
+
+        config = self.config
+        if batched.config_eligible(config):
+            everything = SamplePlan(kind="edges", edge_indices=np.arange(graph.n_edges))
+            native = batched.detect_many(graph, [everything], config, keep_nodes=True)
+            if native is not None and native[0] is not None:
+                return native[0].result
+        return self._detect_reference(graph)
+
+    def _detect_reference(self, graph: BipartiteGraph) -> FdetResult:
+        """Algorithm 1 on the reference peel, one edge-alive mask for all blocks."""
         config = self.config
         metric = config.metric
         frozen_degrees: np.ndarray | None = None
@@ -231,9 +248,6 @@ class Fdet:
         edge_merchants = graph.edge_merchants
         alive = np.ones(n_edges, dtype=bool)
         n_alive = n_edges
-        context: PeelContext | None = None
-        if config.engine == PeelEngine.FAST and n_edges:
-            context = PeelContext(graph)
 
         blocks: list[Block] = []
         first_density: float | None = None
@@ -248,16 +262,7 @@ class Fdet:
                 metric.user_weights(residual),
                 metric.merchant_weights(residual),
             )
-            if context is not None:
-                peel = fast_peel(
-                    residual,
-                    edge_weights,
-                    priors,
-                    context=context,
-                    edge_alive=None if n_alive == n_edges else alive,
-                )
-            else:
-                peel = _reference_peel(residual, edge_weights, priors)
+            peel = _reference_peel(residual, edge_weights, priors)
             block_mask = alive & peel.user_mask[edge_users] & peel.merchant_mask[edge_merchants]
             block_edges = np.nonzero(block_mask)[0]
             if block_edges.size < config.min_block_edges:

@@ -14,13 +14,13 @@ Two interchangeable engines implement the peel (select with the ``engine``
 argument, or per-detector via :attr:`repro.fdet.FdetConfig.engine`):
 
 * ``"reference"`` — the original pure-Python ``heapq`` walk over the
-  graph's CSR adjacency. Easiest to audit; the semantic oracle.
-* ``"fast"`` (default) — flat-array backend (:mod:`.peeling_fast`): numpy
-  preparation plus a compiled C core (pure-Python fallback). Produces
-  bitwise-identical :class:`PeelResult`s — same tie-breaking (smallest node
-  id first), same float64 operation order — at a large constant-factor
-  speedup, and supports masked re-peels that FDET's no-rebuild outer loop
-  relies on.
+  graph's CSR adjacency. Easiest to audit; the semantic oracle, and the
+  fallback on hosts without a C compiler.
+* ``"fast"`` (default) — the graph flattened into one CSR over the joint
+  node index space and peeled by the compiled kernel
+  (``repro_greedy_peel``, see :mod:`._native`). Produces bitwise-identical
+  :class:`PeelResult`s — same tie-breaking (smallest node id first), same
+  float64 operation order — at a large constant-factor speedup.
 
 Pick ``reference`` when debugging or validating a change to the objective;
 pick ``fast`` everywhere else.
@@ -28,6 +28,7 @@ pick ``fast`` everywhere else.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from ..errors import DetectionError
 from ..graph import BipartiteGraph
+from ._native import load_peel_kernel
 
 __all__ = ["PeelResult", "PeelEngine", "greedy_peel"]
 
@@ -147,7 +149,8 @@ def greedy_peel(
         Optional non-negative per-node priors added to the objective.
     engine:
         One of :class:`PeelEngine` (default ``"fast"``). Both engines return
-        identical results; see the module docstring.
+        identical results; see the module docstring. ``"fast"`` runs the
+        reference engine when no kernel is loaded.
 
     Notes
     -----
@@ -160,10 +163,67 @@ def greedy_peel(
         return _empty_result()
     priors = _build_priors(graph.n_users, graph.n_merchants, user_weights, merchant_weights)
     if resolve_engine(engine) == PeelEngine.FAST:
-        from .peeling_fast import fast_peel  # deferred to avoid a module cycle
-
-        return fast_peel(graph, edge_weights, priors)
+        peel = _native_peel(graph, edge_weights, priors)
+        if peel is not None:
+            return peel
     return _reference_peel(graph, edge_weights, priors)
+
+
+def _native_peel(
+    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
+) -> PeelResult | None:
+    """One kernel peel of ``graph``; ``None`` when no kernel is loaded.
+
+    The graph is flattened into one CSR over the joint node index space
+    (user ``u`` is node ``u``, merchant ``m`` is node ``n_users + m``): the
+    half-edges of node ``v`` are ``flat_other[indptr[v]:indptr[v+1]]``
+    (opposite endpoint), each span in edge order like the reference's
+    adjacency, with the edge weights gathered in the same order.
+    """
+    kernel = load_peel_kernel()
+    if kernel is None:
+        return None
+    n_users = graph.n_users
+    n = n_users + graph.n_merchants
+    user_indptr, user_edges = graph.user_adjacency()
+    merchant_indptr, merchant_edges = graph.merchant_adjacency()
+    indptr = np.concatenate([user_indptr, user_indptr[-1] + merchant_indptr[1:]])
+    flat_edge = np.concatenate([user_edges, merchant_edges])
+    flat_other = np.concatenate(
+        [n_users + graph.edge_merchants[user_edges], graph.edge_users[merchant_edges]]
+    )
+    priority = priors.copy()
+    np.add.at(priority, graph.edge_users, edge_weights)
+    np.add.at(priority, n_users + graph.edge_merchants, edge_weights)
+    total = float(priors.sum() + edge_weights.sum())
+
+    removal_order = np.empty(n, dtype=np.int64)
+    densities = np.empty(n, dtype=np.float64)
+    best_density = ctypes.c_double()
+    best_removed = ctypes.c_int64()
+    removed = kernel(
+        n,
+        np.ascontiguousarray(indptr, dtype=np.int64),
+        np.ascontiguousarray(flat_other, dtype=np.int64),
+        np.ascontiguousarray(edge_weights[flat_edge], dtype=np.float64),
+        priority,
+        total,
+        removal_order,
+        densities,
+        ctypes.byref(best_density),
+        ctypes.byref(best_removed),
+    )
+    if removed < 0:  # allocation failure inside the kernel
+        return None
+    keep = np.ones(n, dtype=bool)
+    keep[removal_order[: best_removed.value]] = False
+    return PeelResult(
+        user_mask=keep[:n_users],
+        merchant_mask=keep[n_users:],
+        density=float(best_density.value),
+        n_removed=int(best_removed.value),
+        densities=densities[: removed + 1].copy(),
+    )
 
 
 def _reference_peel(

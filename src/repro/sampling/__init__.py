@@ -1,6 +1,14 @@
 """Structural sampling methods for bipartite graphs (paper §IV-A)."""
 
-from .base import SamplePlan, Sampler, check_ratio, compact_indices, materialize_plan, resolve_rng
+from .base import (
+    SamplePlan,
+    Sampler,
+    check_ratio,
+    compact_indices,
+    materialize_plan,
+    plan_edge_ids,
+    resolve_rng,
+)
 from .one_side import OneSideNodeSampler, Side, recommend_side
 from .random_edge import RandomEdgeSampler
 from .registry import PAPER_FIG5_NAMES, available_samplers, make_sampler
@@ -20,6 +28,7 @@ __all__ = [
     "check_ratio",
     "compact_indices",
     "materialize_plan",
+    "plan_edge_ids",
     "resolve_rng",
     "RandomEdgeSampler",
     "StableEdgeSampler",

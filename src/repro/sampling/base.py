@@ -41,6 +41,7 @@ __all__ = [
     "check_ratio",
     "compact_indices",
     "materialize_plan",
+    "plan_edge_ids",
     "resolve_rng",
 ]
 
@@ -106,7 +107,6 @@ class SamplePlan:
     edge_indices: np.ndarray | None = None
     users: np.ndarray | None = None
     merchants: np.ndarray | None = None
-    keep_isolated: bool = False
     weight_scale: float | None = None
     stripe_row: np.ndarray | None = None
     stripe: int = 1
@@ -127,21 +127,37 @@ class SamplePlan:
         return total
 
 
-def materialize_plan(
-    graph: BipartiteGraph, plan: SamplePlan, window: EdgeWindow | None = None
-) -> BipartiteGraph:
-    """Deterministically expand ``plan`` against its parent ``graph``.
+def _node_mask(nodes: np.ndarray | None, size: int) -> np.ndarray:
+    """Boolean pick over one side; ``None`` picks the whole side."""
+    if nodes is None:
+        return np.ones(size, dtype=bool)
+    mask = np.zeros(size, dtype=bool)
+    mask[nodes] = True
+    return mask
 
-    This is the worker-side half of sampling: no RNG, pure array work, and
-    byte-for-byte the subgraph the eager ``sampler.sample`` call would have
-    produced. ``graph`` may be a read-only shared-memory view.
+
+def plan_edge_ids(
+    graph: BipartiteGraph, plan: SamplePlan, window: EdgeWindow | None = None
+) -> np.ndarray:
+    """The parent edge ids ``plan`` keeps, in the member's edge order.
+
+    The one rule every consumer shares — :func:`materialize_plan`, the
+    batched kernel and the stripe shards.
+
+    * ``"edges"`` — ``edge_indices`` as drawn (plan order);
+    * ``"nodes"`` — every edge whose two endpoints were sampled, ascending;
+    * ``"stripes"`` — every edge of a flagged stripe, ascending.
 
     With a ``window``, ``graph`` is the full *stored* graph of a rolling
     window (tombstoned rows included): stripe membership is looked up by
     each row's original append id — so expiring or compacting *other*
     edges never moves a surviving edge between samples — and dead rows are
     masked out. Only stripe plans support windows; the positional kinds
-    ("edges", "nodes") have no id-stable meaning over a mutating log.
+    ("edges", "nodes") have no id-stable meaning over a mutating log and
+    raise :class:`SamplingError`.
+
+    Order matters: a member's edge order defines its adjacency and with it
+    the peel's tie-breaking.
     """
     if window is not None:
         if plan.kind != "stripes":
@@ -149,23 +165,30 @@ def materialize_plan(
                 f"windowed materialization requires stripe plans, got {plan.kind!r}"
             )
         ids = window.edge_ids if plan.stripe == 1 else window.edge_ids // plan.stripe
-        mask = plan.stripe_row[ids] & window.alive
-        subgraph = graph.edge_subgraph(np.nonzero(mask)[0])
-    elif plan.kind == "edges":
-        subgraph = graph.edge_subgraph(plan.edge_indices)
-    elif plan.kind == "stripes":
+        return np.nonzero(plan.stripe_row[ids] & window.alive)[0]
+    if plan.kind == "edges":
+        return np.asarray(plan.edge_indices, dtype=np.int64)
+    if plan.kind == "stripes":
         row = plan.stripe_row
-        if plan.stripe == 1:
-            mask = row[: graph.n_edges]
-        else:
-            mask = np.repeat(row, plan.stripe)[: graph.n_edges]
-        subgraph = graph.edge_subgraph(np.nonzero(mask)[0])
-    else:
-        subgraph = graph.induced_subgraph(
-            users=plan.users,
-            merchants=plan.merchants,
-            keep_isolated=plan.keep_isolated,
-        )
+        mask = row if plan.stripe == 1 else np.repeat(row, plan.stripe)
+        return np.nonzero(mask[: graph.n_edges])[0]
+    users = _node_mask(plan.users, graph.n_users)
+    merchants = _node_mask(plan.merchants, graph.n_merchants)
+    return np.nonzero(users[graph.edge_users] & merchants[graph.edge_merchants])[0]
+
+
+def materialize_plan(
+    graph: BipartiteGraph, plan: SamplePlan, window: EdgeWindow | None = None
+) -> BipartiteGraph:
+    """Deterministically expand ``plan`` against its parent ``graph``.
+
+    This is the worker-side half of sampling: no RNG, pure array work, and
+    byte-for-byte the subgraph the eager ``sampler.sample`` call would have
+    produced — the edges :func:`plan_edge_ids` keeps, with the nodes they
+    touch. ``graph`` may be a read-only shared-memory view; see
+    :func:`plan_edge_ids` for the ``window`` overlay.
+    """
+    subgraph = graph.edge_subgraph(plan_edge_ids(graph, plan, window))
     if plan.weight_scale is not None:
         subgraph = subgraph.with_weights(
             subgraph.weights_or_ones() * plan.weight_scale, trusted=True

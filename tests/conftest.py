@@ -6,7 +6,21 @@ import numpy as np
 import pytest
 
 from repro.datasets import FraudBlockSpec, inject_fraud_blocks, toy_dataset, uniform_bipartite
+from repro.fdet import _native
 from repro.graph import BipartiteGraph
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """Simulate a host without a C compiler (``REPRO_NATIVE=0``).
+
+    The loader forgets its cached kernel on the way in and out, so the
+    test sees no kernel and later tests load it again.
+    """
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    _native._reset_for_tests()
+    yield
+    _native._reset_for_tests()
 
 
 @pytest.fixture

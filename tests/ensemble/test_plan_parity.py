@@ -5,11 +5,14 @@ backend, ``EnsemFDet.fit`` driven by ``plan_many`` + worker-side
 materialization produces **exactly** the subgraphs, per-sample detections
 and vote table the historical eager ``sample_many`` pipeline produced —
 same RNG consumption, deterministic materialization, byte-for-byte arrays.
+Node plans (ONS/TNS) run through the batched kernel on every executor and
+in shards, and must equal ``materialize_plan`` + the reference engine.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -20,9 +23,13 @@ from repro.ensemble import (
     EnsemFDetConfig,
     detect_on_plans,
     detect_on_samples,
+    plan_shards,
+    run_members,
 )
+from repro.ensemble.sharding import run_sharded
 from repro.ensemble.voting import VoteTable
-from repro.fdet import Fdet, FdetConfig
+from repro.fdet import Fdet, FdetConfig, PeelEngine, batched
+from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph, GraphStore, attached_store, detach_all
 from repro.parallel import ExecutorMode, ReusablePool
 from repro.sampling import (
@@ -85,10 +92,13 @@ def assert_detections_bitwise_equal(plan_based, eager) -> None:
 
 
 def eager_reference_fit(parent, config):
-    """The historical pipeline: materialize everything, then detect."""
+    """The historical pipeline: materialize everything, then detect each
+    sample on the reference engine."""
     rng = resolve_rng(config.seed)
     samples = config.sampler.sample_many(parent, config.n_samples, rng)
-    detections = detect_on_samples(samples, config.fdet, mode=ExecutorMode.SERIAL)
+    detections = detect_on_samples(
+        samples, config.fdet, mode=ExecutorMode.SERIAL, engine=PeelEngine.REFERENCE
+    )
     table = VoteTable.from_detections(
         [d.result.detected_users().tolist() for d in detections],
         [d.result.detected_merchants().tolist() for d in detections],
@@ -243,3 +253,81 @@ class TestTrustedViews:
         shared.dispose()  # idempotent
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+NODE_SAMPLERS = ("ons_user", "ons_merchant", "tns")
+
+needs_kernel = pytest.mark.skipif(
+    not native_available(), reason="native kernel unavailable (no C compiler)"
+)
+
+
+def assert_results_bitwise_equal(left, right) -> None:
+    """Two ``FdetResult``s agree block by block, bit for bit."""
+    assert left.k_hat == right.k_hat
+    assert len(left.all_blocks) == len(right.all_blocks)
+    for lb, rb in zip(left.all_blocks, right.all_blocks):
+        assert np.array_equal(lb.user_labels, rb.user_labels)
+        assert np.array_equal(lb.merchant_labels, rb.merchant_labels)
+        assert lb.density == rb.density
+        assert lb.n_edges == rb.n_edges
+
+
+def node_plans(parent, name):
+    plans = SAMPLER_FACTORIES[name]().plan_many(parent, 6, rng=17)
+    assert all(plan.kind == "nodes" for plan in plans)
+    return plans
+
+
+def oracle_results(parent, plans, config):
+    """``materialize_plan`` + the reference engine, member by member."""
+    oracle = Fdet(replace(config, engine=PeelEngine.REFERENCE))
+    return [oracle.detect(materialize_plan(parent, plan)) for plan in plans]
+
+
+class TestNodePlanKernelParity:
+    """ONS/TNS plans reach the batched kernel and match the oracle."""
+
+    @pytest.mark.parametrize("name", NODE_SAMPLERS)
+    def test_plan_keeps_the_induced_subgraph(self, parent, name):
+        """A node plan keeps exactly the edges both of whose endpoints it picked."""
+        for plan in node_plans(parent, name):
+            induced = parent.induced_subgraph(users=plan.users, merchants=plan.merchants)
+            assert_graphs_bitwise_equal(materialize_plan(parent, plan), induced)
+
+    @needs_kernel
+    @pytest.mark.parametrize("name", NODE_SAMPLERS)
+    def test_detect_many_matches_reference(self, parent, name):
+        config = FdetConfig(max_blocks=6)
+        plans = node_plans(parent, name)
+        native = batched.detect_many(parent, plans, config)
+        for plan, nd, expected in zip(plans, native, oracle_results(parent, plans, config)):
+            assert_results_bitwise_equal(nd.result, expected)
+            subgraph = materialize_plan(parent, plan)
+            assert np.array_equal(nd.user_labels, subgraph.user_labels)
+            assert np.array_equal(nd.merchant_labels, subgraph.merchant_labels)
+
+    @pytest.mark.parametrize("name", NODE_SAMPLERS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_executor_matches_reference(self, parent, name, backend):
+        config = FdetConfig(max_blocks=6)
+        plans = node_plans(parent, name)
+        detections = detect_on_plans(parent, plans, config, mode=backend, n_workers=2)
+        for detection, expected in zip(detections, oracle_results(parent, plans, config)):
+            assert_results_bitwise_equal(detection.result, expected)
+            # parent node indices come only from the batched kernel
+            has_indices = detection.detected_user_indices is not None
+            assert has_indices == native_available()
+        assert leaked_segments() == []
+
+    @pytest.mark.parametrize("name", NODE_SAMPLERS)
+    def test_sharded_matches_unsharded(self, parent, name):
+        config = FdetConfig(max_blocks=6)
+        plans = node_plans(parent, name)
+        unsharded = run_members(parent, plans, config)
+        sharded = run_sharded(parent, plans, config, plan_shards(len(plans), 3))
+        assert not unsharded.failures and not sharded.failures
+        for left, right in zip(sharded.detections, unsharded.detections):
+            assert_results_bitwise_equal(left.result, right.result)
+            assert np.array_equal(left.sample_users, right.sample_users)
+            assert np.array_equal(left.sample_merchants, right.sample_merchants)

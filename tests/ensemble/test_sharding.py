@@ -1,5 +1,6 @@
-"""Stripe-sharded ensemble: bitwise parity with the unsharded fit, shard
-failure degradation through the quorum path, and the merge fault point."""
+"""Stripe-sharded ensemble: bitwise parity with the unsharded fit for every
+sampler family, shard failure degradation through the quorum path, and the
+merge fault point."""
 
 from __future__ import annotations
 
@@ -8,17 +9,19 @@ import pytest
 
 from repro.datasets import chung_lu_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, plan_shards
-from repro.ensemble.sharding import _member_parent_ids, merge_shard_votes
-from repro.errors import DetectionError, QuorumError
+from repro.ensemble.sharding import merge_shard_votes, run_sharded
+from repro.errors import DetectionError, QuorumError, SamplingError
 from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.graph import LiveWindow
+from repro.graph.window import EdgeWindow
 from repro.parallel import FaultTolerance
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
     SamplePlan,
     StableEdgeSampler,
+    TwoSideNodeSampler,
 )
 
 
@@ -63,8 +66,12 @@ class TestPlanShards:
 class TestShardedParity:
     @pytest.mark.parametrize("shards", [2, 3, 9])
     @pytest.mark.parametrize("make", [lambda: RandomEdgeSampler(0.35),
-                                      lambda: StableEdgeSampler(0.35, stripe=64)],
-                             ids=["random_edge", "stable_edge"])
+                                      lambda: StableEdgeSampler(0.35, stripe=64),
+                                      lambda: OneSideNodeSampler(0.35, "user"),
+                                      lambda: OneSideNodeSampler(0.35, "merchant"),
+                                      lambda: TwoSideNodeSampler(0.6)],
+                             ids=["random_edge", "stable_edge", "ons_user",
+                                  "ons_merchant", "tns"])
     def test_matches_unsharded(self, graph, shards, make):
         reference = _tables(EnsemFDet(_config(make())).fit(graph))
         sharded = EnsemFDet(_config(make(), shards=shards)).fit(graph)
@@ -101,15 +108,23 @@ class TestShardedParity:
 
 
 class TestShardingErrors:
-    def test_node_plans_rejected(self, graph):
-        config = _config(OneSideNodeSampler(0.5, "user"), shards=2)
-        with pytest.raises(DetectionError, match="edges.*stripes|stripes.*edges"):
-            EnsemFDet(config).fit(graph)
+    @staticmethod
+    def _run_windowed(graph, plan):
+        window = EdgeWindow(
+            alive=np.ones(graph.n_edges, dtype=bool),
+            edge_ids=np.arange(graph.n_edges, dtype=np.int64),
+        )
+        return run_sharded(graph, [plan], FdetConfig(), plan_shards(1, 1), window=window)
 
-    def test_member_parent_ids_rejects_node_kind(self):
+    def test_windowed_node_plans_rejected(self, graph):
         plan = SamplePlan(kind="nodes", users=np.array([0, 1]), merchants=np.array([0]))
-        with pytest.raises(DetectionError, match="run unsharded"):
-            _member_parent_ids(plan, 10, None)
+        with pytest.raises(SamplingError, match="requires stripe plans"):
+            self._run_windowed(graph, plan)
+
+    def test_windowed_edge_plans_rejected(self, graph):
+        plan = SamplePlan(kind="edges", edge_indices=np.array([0, 5, 9]))
+        with pytest.raises(SamplingError, match="requires stripe plans"):
+            self._run_windowed(graph, plan)
 
     def test_config_rejects_zero_shards(self):
         with pytest.raises(DetectionError):

@@ -3,8 +3,9 @@
 The point fires per member inside the worker, right before the member is
 enrolled into the multi-member kernel call — so an injected failure takes
 down exactly that member, the retry machinery recovers it bitwise, and a
-worker *crash* during a batched round degrades batching for the remaining
-retries (the way shm failures degrade the shared segment).
+worker *crash* during a batched round moves the remaining retries off the
+kernel onto the reference engine (the way shm failures degrade the shared
+segment).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from repro.datasets import uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.faults import arm, disarm
-from repro.fdet import FdetConfig
+from repro.fdet import FdetConfig, PeelEngine
 from repro.fdet._native import native_available
 from repro.parallel import FaultTolerance
 from repro.sampling import RandomEdgeSampler
@@ -73,6 +74,7 @@ class TestNativePeelFaults:
         # path stays enabled on the retry round
         assert result.retry_log[0]["native_batch"] is True
         assert result.retry_log[1]["native_batch"] is True
+        assert result.retry_log[1]["engine"] == PeelEngine.FAST
 
     def test_fault_isolates_one_member_not_the_batch(self, graph):
         """The other five members of the batched round still detect."""
@@ -88,10 +90,12 @@ class TestNativePeelFaults:
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         # a dead worker during a batched round is treated as a possible
-        # kernel fault: retries degrade to the per-member path
+        # kernel fault: retries run each member on the reference engine
         assert result.retry_log[0]["native_batch"] is True
+        assert result.retry_log[0]["engine"] == PeelEngine.FAST
         assert "crash" in result.retry_log[0]["kinds"].values()
         assert result.retry_log[-1]["native_batch"] is False
+        assert result.retry_log[-1]["engine"] == PeelEngine.REFERENCE
 
     def test_retry_log_is_deterministic_under_batch(self, graph):
         plan = "raise:point=native.peel,index=1;raise:point=native.peel,index=4"

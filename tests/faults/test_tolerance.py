@@ -91,6 +91,15 @@ class TestTransientRecovery:
         assert result.retry_log[1]["members"] == [2]
         assert result.retry_log[1]["failed"] == []
 
+    def test_process_worker_raise_fails_only_that_member(self, graph):
+        reference = EnsemFDet(_config()).fit(graph)
+        arm("raise:point=member.detect,index=2")
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
+        assert _tables_equal(result.vote_table, reference.vote_table)
+        # member 2's chunk-mates in the same worker still detect in round 0
+        assert result.retry_log[0]["failed"] == [2]
+        assert result.retry_log[1]["members"] == [2]
+
     def test_retry_log_is_deterministic(self, graph):
         plan = "raise:point=member.detect,index=1;raise:point=member.detect,index=4"
         logs, tables = [], []

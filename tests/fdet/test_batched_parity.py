@@ -4,21 +4,31 @@ The batched backend (``repro.fdet.batched`` + ``repro_fdet_batch`` in the C
 kernel) replaces per-member ``materialize_plan`` + ``Fdet.detect`` with one
 multi-member kernel call, and the native vote merge replaces the Python
 label tally. Everything it produces must be **bitwise identical** to the
-reference pipeline — this suite pins that down across sampler families,
-window modes (append-only and rolling), batch sizes (1 / 4 / N, including
-degenerate empty members), execution backends (serial / thread / process ×
-shared-memory on / off) and both weight policies.
+oracle — each member materialized alone and peeled by the reference
+engine, which never touches the kernel. This suite pins that down across
+sampler families, window modes (append-only and rolling), batch sizes
+(1 / 4 / N, including degenerate empty members), execution backends
+(serial / thread / process × shared-memory on / off) and both weight
+policies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.datasets import chung_lu_bipartite, uniform_bipartite
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet, detect_on_plans
+from repro.ensemble import (
+    EnsemFDet,
+    EnsemFDetConfig,
+    IncrementalEnsemFDet,
+    detect_on_plans,
+    run_members,
+)
+from repro.errors import SamplingError
 from repro.fdet import (
     AverageDegreeDensity,
     Fdet,
@@ -28,9 +38,10 @@ from repro.fdet import (
     PriorWeightedDensity,
     WeightPolicy,
 )
-from repro.fdet import batched, peeling_fast
+from repro.fdet import batched
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph, WindowConfig
+from repro.graph.window import EdgeWindow
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -89,13 +100,18 @@ def assert_tables_equal(a, b):
     assert dict(a.merchant_votes) == dict(b.merchant_votes)
 
 
-def fit_pair(graph, **overrides):
-    """(batched, per-member) fits of the same configuration."""
-    results = []
-    for native_batch in (True, False):
-        config = EnsemFDetConfig(seed=11, native_batch=native_batch, **overrides)
-        results.append(EnsemFDet(config).fit(graph))
-    return results
+def oracle(fdet: FdetConfig) -> FdetConfig:
+    """The same FDET configuration on the reference engine."""
+    return replace(fdet, engine=PeelEngine.REFERENCE)
+
+
+def fit_pair(graph, fdet=FdetConfig(), **overrides):
+    """(batched kernel, per-member reference engine) fits of one configuration."""
+    batch = EnsemFDet(EnsemFDetConfig(seed=11, fdet=fdet, native_batch=True, **overrides))
+    reference = EnsemFDet(
+        EnsemFDetConfig(seed=11, fdet=oracle(fdet), native_batch=False, **overrides)
+    )
+    return batch.fit(graph), reference.fit(graph)
 
 
 class TestDetectManyDirect:
@@ -110,7 +126,7 @@ class TestDetectManyDirect:
         plans = RandomEdgeSampler(0.4).plan_many(graph, 6, resolve_rng(13))
         native = batched.detect_many(graph, plans, config)
         assert native is not None
-        fdet = Fdet(config)
+        fdet = Fdet(oracle(config))
         for plan, nd in zip(plans, native):
             assert nd is not None
             expected = fdet.detect(materialize_plan(graph, plan))
@@ -144,7 +160,7 @@ class TestDetectManyDirect:
             plans[2] = empty
         native = batched.detect_many(weighted_graph, plans, config)
         assert native is not None
-        fdet = Fdet(config)
+        fdet = Fdet(oracle(config))
         for plan, nd in zip(plans, native):
             expected = fdet.detect(materialize_plan(weighted_graph, plan))
             assert nd.result.k_hat == expected.k_hat
@@ -163,14 +179,30 @@ class TestDetectManyDirect:
             weight_scale=1.0 / 0.3,
         )
         native = batched.detect_many(plain_graph, [plan], config)
-        expected = Fdet(config).detect(materialize_plan(plain_graph, plan))
+        expected = Fdet(oracle(config)).detect(materialize_plan(plain_graph, plan))
         assert native[0].result.k_hat == expected.k_hat
         assert [b.density for b in native[0].result.all_blocks] == [
             b.density for b in expected.all_blocks
         ]
 
-    def test_force_python_hook_disables_batch(self, weighted_graph, monkeypatch):
-        monkeypatch.setattr(peeling_fast, "_force_python", True)
+    @pytest.mark.parametrize("family", ["random-edge", "two-side"])
+    def test_windowed_positional_plan_raises_sampling_error(self, plain_graph, family):
+        """Only stripe plans fit a window: every route raises the same error."""
+        n = plain_graph.n_edges
+        window = EdgeWindow(alive=np.ones(n, dtype=bool), edge_ids=np.arange(n))
+        plan = SAMPLERS[family]().plan(plain_graph, resolve_rng(4))
+        config = FdetConfig(max_blocks=4)
+        with pytest.raises(SamplingError, match="requires stripe plans"):
+            materialize_plan(plain_graph, plan, window)
+        with pytest.raises(SamplingError, match="requires stripe plans"):
+            batched.detect_many(plain_graph, [plan], config, window)
+        run = run_members(plain_graph, [plan], config, window=window)
+        assert [f.index for f in run.failures] == [0]
+        assert isinstance(run.errors[0], SamplingError)
+        with pytest.raises(SamplingError, match="requires stripe plans"):
+            detect_on_plans(plain_graph, [plan], config, window=window)
+
+    def test_native_off_disables_batch(self, weighted_graph, no_native):
         assert batched.batch_kernels() is None
         plans = RandomEdgeSampler(0.3).plan_many(weighted_graph, 2, resolve_rng(1))
         assert batched.detect_many(weighted_graph, plans, FdetConfig()) is None
@@ -186,13 +218,6 @@ class TestEligibilityGating:
         )
         assert not batched.config_eligible(FdetConfig(engine=PeelEngine.REFERENCE))
 
-    def test_plan_gating(self, weighted_graph):
-        edge_plan = RandomEdgeSampler(0.3).plan_many(weighted_graph, 1, resolve_rng(0))[0]
-        node_plan = TwoSideNodeSampler(0.3).plan_many(weighted_graph, 1, resolve_rng(0))[0]
-        assert batched.plan_eligible(edge_plan)
-        if node_plan.kind == "nodes":
-            assert not batched.plan_eligible(node_plan)
-
     def test_env_switch(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE_BATCH", raising=False)
         assert batched.resolve_native_batch(None) is True
@@ -204,7 +229,7 @@ class TestEligibilityGating:
 
 
 class TestSamplerFamilyParity:
-    """fit() with the batched backend vs the per-member path, per family."""
+    """fit() with the batched backend vs per-member reference fits, per family."""
 
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_fit_parity(self, weighted_graph, family):
@@ -264,10 +289,12 @@ class TestWindowedParity:
                 detector.update(users, merchants, timestamp=float(step + 1))
 
     def _config(self, native_batch):
+        """Batched kernel, or each member alone on the reference engine."""
+        fdet = FdetConfig(max_blocks=8)
         return EnsemFDetConfig(
             sampler=StableEdgeSampler(0.3, stripe=64),
             n_samples=8,
-            fdet=FdetConfig(max_blocks=8),
+            fdet=fdet if native_batch else oracle(fdet),
             seed=23,
             native_batch=native_batch,
         )
@@ -320,7 +347,11 @@ class TestBackendMatrix:
     def test_backend_parity(self, weighted_graph, executor, shared_memory):
         reference = EnsemFDet(
             EnsemFDetConfig(
-                sampler=RandomEdgeSampler(0.3), n_samples=6, seed=11, native_batch=False
+                sampler=RandomEdgeSampler(0.3),
+                n_samples=6,
+                fdet=oracle(FdetConfig()),
+                seed=11,
+                native_batch=False,
             )
         ).fit(weighted_graph)
         config = EnsemFDetConfig(
@@ -341,7 +372,7 @@ class TestBackendMatrix:
         config = FdetConfig(max_blocks=6)
         plans = RandomEdgeSampler(0.4).plan_many(plain_graph, 5, resolve_rng(2))
         batch = detect_on_plans(plain_graph, plans, config, native_batch=True)
-        reference = detect_on_plans(plain_graph, plans, config, native_batch=False)
+        reference = detect_on_plans(plain_graph, plans, oracle(config), native_batch=False)
         for left, right in zip(batch, reference):
             assert_same_detection(left, right)
 

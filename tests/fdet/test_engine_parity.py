@@ -2,13 +2,18 @@
 
 Sweeps random Chung-Lu graphs, injected-block graphs, tie-heavy complete
 blocks, multigraphs, weighted graphs and prior-carrying peels, asserting
-the ``fast`` engine (native kernel *and* pure-Python fallback) returns
-masks, densities, ``n_removed`` and the full densities series identical to
-``engine="reference"`` — and that the incremental ``Fdet.detect`` matches
-the seed's rebuild-per-block formulation under both weight policies.
+the ``fast`` engine returns masks, densities, ``n_removed`` and the full
+densities series identical to ``engine="reference"`` — and that
+``Fdet.detect`` (the batched kernel under ``fast``) matches the seed's
+rebuild-per-block formulation under both weight policies, isolated nodes
+and zero or negative weights included. Every case runs with the kernel
+loaded and on a simulated host without a compiler, where ``fast`` falls
+back to the pure-Python reference engine.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +28,14 @@ from repro.fdet import (
     WeightPolicy,
     greedy_peel,
 )
-from repro.fdet import peeling_fast
 from repro.graph import BipartiteGraph
 
 
 @pytest.fixture(params=["native", "python"])
-def fast_core(request, monkeypatch):
-    """Run each parity case against both fast cores."""
+def fast_core(request):
+    """Run each parity case with the kernel and without one (``REPRO_NATIVE=0``)."""
     if request.param == "python":
-        monkeypatch.setattr(peeling_fast, "_force_python", True)
+        request.getfixturevalue("no_native")
     else:
         from repro.fdet._native import native_available
 
@@ -132,39 +136,6 @@ class TestPeelParity:
             assert_peel_parity(graph, np.ones(graph.n_edges, dtype=np.float64))
 
 
-class TestSubsetViews:
-    def test_all_alive_mask_returns_trusted_views_without_copying(self):
-        from repro.fdet import PeelContext
-
-        graph = chung_lu_bipartite(80, 30, 250, rng=1)
-        context = PeelContext(graph)
-        indptr, flat_other, flat_edge = context.subset(np.ones(graph.n_edges, dtype=bool))
-        # the context's own arrays come back — no gather, no copy
-        assert indptr is context.indptr
-        assert flat_other is context.flat_other
-        assert flat_edge is context.flat_edge
-
-    def test_masked_subset_still_copies_and_peels_identically(self, fast_core):
-        from repro.fdet import PeelContext, fast_peel
-
-        graph = chung_lu_bipartite(80, 30, 250, rng=1)
-        context = PeelContext(graph)
-        alive = np.ones(graph.n_edges, dtype=bool)
-        alive[::5] = False
-        indptr, flat_other, flat_edge = context.subset(alive)
-        assert indptr is not context.indptr
-        assert flat_other is not context.flat_other
-        # the masked peel matches peeling the compacted residual graph
-        residual = graph.remove_edges(np.nonzero(~alive)[0])
-        weights = LogWeightedDensity().edge_weights(residual)
-        priors = np.zeros(graph.n_users + graph.n_merchants)
-        masked = fast_peel(residual, weights, priors, context, alive)
-        fresh = fast_peel(residual, weights, priors)
-        assert np.array_equal(masked.user_mask, fresh.user_mask)
-        assert np.array_equal(masked.merchant_mask, fresh.merchant_mask)
-        assert masked.density == fresh.density
-
-
 def _seed_detect(graph, config):
     """The pre-refactor FDET loop: rebuild the residual graph per block."""
     frozen = None
@@ -238,3 +209,45 @@ class TestIncrementalDetectParity:
         expected = _seed_detect(graph, config)
         result = Fdet(config).detect(graph)
         assert len(result.all_blocks) == len(expected)
+
+
+def _assert_detect_parity(graph, config):
+    """``Fdet.detect`` under ``fast`` equals the reference engine, bitwise."""
+    fast = Fdet(replace(config, engine=PeelEngine.FAST)).detect(graph)
+    reference = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(graph)
+    assert fast.k_hat == reference.k_hat
+    assert len(fast.all_blocks) == len(reference.all_blocks)
+    for left, right in zip(fast.all_blocks, reference.all_blocks):
+        assert np.array_equal(left.user_labels, right.user_labels)
+        assert np.array_equal(left.merchant_labels, right.merchant_labels)
+        assert left.density == right.density
+        assert left.n_edges == right.n_edges
+    return reference
+
+
+class TestDetectEngineParity:
+    """Graphs whose node set is larger than the nodes their edges touch."""
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    def test_isolated_nodes(self, fast_core, policy):
+        graph = chung_lu_bipartite(300, 120, 700, rng=5)
+        assert (graph.user_degrees() == 0).any() and (graph.merchant_degrees() == 0).any()
+        _assert_detect_parity(graph, FdetConfig(max_blocks=8, weight_policy=policy))
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    def test_all_zero_weights_with_isolated_nodes(self, fast_core, policy):
+        # every priority is 0: nothing beats the whole graph, so the block
+        # must hold all 6x4 nodes — isolated ones too — at density 0
+        graph = BipartiteGraph(
+            6, 4, [0, 1, 2], [0, 1, 2], edge_weights=np.zeros(3, dtype=np.float64)
+        )
+        reference = _assert_detect_parity(graph, FdetConfig(weight_policy=policy))
+        first = reference.all_blocks[0]
+        assert (first.n_users, first.n_merchants, first.density) == (6, 4, 0.0)
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    def test_negative_weights(self, fast_core, policy):
+        base = chung_lu_bipartite(150, 60, 450, rng=12)
+        weights = np.random.default_rng(3).uniform(-1.0, 2.0, base.n_edges)
+        graph = base.with_weights(weights)
+        _assert_detect_parity(graph, FdetConfig(max_blocks=8, weight_policy=policy))

@@ -132,12 +132,6 @@ class TestOneSideNodeSampler:
         sub = OneSideNodeSampler(0.3, Side.MERCHANT).sample(graph, rng)
         assert_subgraph_of(sub, graph)
 
-    def test_keep_isolated_retains_nodes(self, rng):
-        # merchant 1 has no edges; strict matrix-slice keeps the sampled row set
-        graph = BipartiteGraph.from_edges([(0, 0)], n_users=1, n_merchants=2)
-        sub = OneSideNodeSampler(1.0, Side.MERCHANT, keep_isolated=True).sample(graph, rng)
-        assert sub.n_merchants == 2
-
     def test_name_reflects_side(self):
         assert OneSideNodeSampler(0.5, Side.USER).name == "ons_user"
         assert OneSideNodeSampler(0.5, Side.MERCHANT).name == "ons_merchant"
