@@ -2,16 +2,11 @@
  *
  * Everything in this file is an exact replica of the Python reference path —
  * same float64 operations in the same order on the same values — so results
- * are bitwise identical to the pure-Python reference engine. Two entry points:
+ * are bitwise identical to the pure-Python reference engine. Two entry points
+ * share one peel loop (``peel_core``):
  *
  * ``repro_greedy_peel``
- *     One peel of one flattened graph (``greedy_peel``'s fast engine). The
- *     initial per-node entries live in a radix-sorted "clean" stream consumed
- *     by a moving pointer, and only re-prioritised nodes enter a small binary
- *     "hot" heap. Under the shared lazy-deletion rule (lexicographic
- *     ``(priority, node)`` order, ``1e-12`` stale tolerance) the accepted pop
- *     sequence is identical to the reference heap's, at a fraction of the
- *     heap traffic.
+ *     One peel of one flattened graph (``greedy_peel``'s fast engine).
  *
  * ``repro_fdet_batch``
  *     The full FDET block loop for MANY ensemble members in one call: the
@@ -25,21 +20,49 @@
  *     Members are independent; with OpenMP the loop runs ``n_threads`` wide
  *     (serial otherwise).
  *
- * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py):
+ * The peel: running minimum instead of lazy deletion. The reference pops a
+ * ``(priority, node)`` heap and pushes a fresh entry on every decrement,
+ * skipping stale entries. An alive node's FIRST popped entry is the minimum
+ * of every key it ever carried (initial priority and each decrement), which
+ * is never above its current priority, so that entry is always accepted —
+ * for any weight sign. The reference therefore peels each node at its
+ * running-minimum key, in lexicographic ``(key, node)`` order. The kernel
+ * does exactly that: the initial keys form a radix-sorted "clean" stream
+ * read by a moving pointer, and a node whose key drops below its running
+ * minimum gets (or moves) its single entry in an indexed "hot" heap. Every
+ * pop is accepted; a clean entry is only skipped once its node is gone.
+ *
+ * The residual block rule. Each FDET block peels the graph left after the
+ * earlier blocks' edges are removed; most of its nodes are isolated (no
+ * alive edge, priority exactly 0.0). When every live node's initial
+ * priority is ``> 0.0``, the isolated nodes hold the smallest key, have no
+ * neighbour to decrement, and so pop first in node order: their density
+ * prefix ``total / (n - k)``, k = 1..n_iso, is replayed with the same float
+ * ops (``total -= 0.0`` is an identity) and only the live nodes are sorted
+ * and peeled. The batch kernel keeps the residual as an edge-ordered list of
+ * alive edges plus per-node alive adjacency spans, filtered in place after
+ * each block, so a block costs its live graph, not the member. Guard: if
+ * any live node's priority is not ``> 0.0`` (zero or negative weights), the
+ * block peels all n nodes through the same loop.
+ *
+ * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py and
+ * tests/fdet/test_engine_parity.py against the reference engine):
  *   - ``pairwise_sum`` replicates numpy's scalar pairwise summation
  *     (8 accumulator lanes, 128-element blocks, halved recursion) so
  *     ``edge_weights.sum()`` matches ``np.sum`` bit for bit. A Python-side
  *     probe verifies this at load time and disables the batch path on hosts
  *     where numpy sums differently.
  *   - ``np.add.at`` is unbuffered sequential addition in index order — the
- *     priority-init loops below mirror it exactly.
+ *     priority-init loops below mirror it exactly, over the alive edges in
+ *     edge order.
  *   - ``np.unique(x, return_inverse=True)`` on bounded non-negative ints is a
  *     presence scan + running rank — the node-compaction loops below.
  *   - A stable counting sort by endpoint equals numpy's stable argsort used
- *     by ``BipartiteGraph._build_adjacency``.
- *   - The radix sort key normalises ``-0.0`` to ``+0.0``: the comparator
- *     treats them equal (node id breaks the tie) but their raw bit patterns
- *     would order them apart.
+ *     by ``BipartiteGraph._build_adjacency``; filtering a span in place keeps
+ *     that order.
+ *   - Keys are the monotone uint64 image of the priority with ``-0.0``
+ *     normalised to ``+0.0``: the comparator treats the zeros as equal (node
+ *     id breaks the tie) but their raw bit patterns would order them apart.
  *
  * Dependency-free C (no Python.h); compiled on demand via ``_native.py``.
  */
@@ -95,15 +118,13 @@ double repro_pairwise_sum(const double *a, int64_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* hot heap: binary min-heap of (priority, node), lexicographic        */
+/* hot heap: indexed 4-ary min-heap of (key, node), one entry per node */
 /* ------------------------------------------------------------------ */
 
 /* Entries carry the priority as its monotone uint64 ``sort_key`` image
  * rather than the raw double: key order equals double order (with the
  * two zeros collapsed, exactly like the comparator treats them), so the
- * heap does single integer compares instead of float compare pairs. The
- * original double is recovered with ``key_to_double`` only at the one
- * place that needs it — the stale-entry tolerance check. */
+ * heap does single integer compares instead of float compare pairs. */
 typedef struct {
     uint64_t k;
     int64_t node;
@@ -114,12 +135,12 @@ static inline int entry_lt(entry_t a, entry_t b)
     return a.k < b.k || (a.k == b.k && a.node < b.node);
 }
 
-/* The heap is 4-ary: pushes outnumber pops ~3:2 in the peel and both walk
- * half the levels of a binary heap. Arity is a pure layout choice — any
- * min-heap surfaces the same (key, node) minima in the same order (equal
- * duplicates are interchangeable), so the accepted pop sequence, and with
- * it bitwise parity, is unaffected. */
-static inline void sift_down(entry_t *heap, int64_t size, int64_t i)
+/* ``pos[node]`` is the slot of the node's entry, kept current by both sifts.
+ * The heap is 4-ary: key decreases outnumber pops and each walks up half
+ * the levels of a binary heap. Arity is a pure layout choice — any min-heap
+ * surfaces the same (key, node) minima in the same order — so the pop
+ * sequence, and with it bitwise parity, is unaffected. */
+static inline void sift_down(entry_t *heap, int64_t *pos, int64_t size, int64_t i)
 {
     entry_t v = heap[i];
     for (;;) {
@@ -134,12 +155,14 @@ static inline void sift_down(entry_t *heap, int64_t size, int64_t i)
         if (!entry_lt(heap[m], v))
             break;
         heap[i] = heap[m];
+        pos[heap[i].node] = i;
         i = m;
     }
     heap[i] = v;
+    pos[v.node] = i;
 }
 
-static inline void sift_up(entry_t *heap, int64_t i)
+static inline void sift_up(entry_t *heap, int64_t *pos, int64_t i)
 {
     entry_t v = heap[i];
     while (i > 0) {
@@ -147,9 +170,11 @@ static inline void sift_up(entry_t *heap, int64_t i)
         if (!entry_lt(v, heap[parent]))
             break;
         heap[i] = heap[parent];
+        pos[heap[i].node] = i;
         i = parent;
     }
     heap[i] = v;
+    pos[v.node] = i;
 }
 
 /* ------------------------------------------------------------------ */
@@ -167,16 +192,6 @@ static inline uint64_t sort_key(double v)
         v = 0.0; /* collapse -0.0 onto +0.0 */
     memcpy(&bits, &v, sizeof(bits));
     return (bits & 0x8000000000000000ULL) ? ~bits : (bits | 0x8000000000000000ULL);
-}
-
-/* Inverse of sort_key up to the -0.0/+0.0 collapse (both map back to +0.0,
- * which compares equal to -0.0 everywhere the value is used). */
-static inline double key_to_double(uint64_t k)
-{
-    uint64_t bits = (k & 0x8000000000000000ULL) ? (k & 0x7FFFFFFFFFFFFFFFULL) : ~k;
-    double v;
-    memcpy(&v, &bits, sizeof(v));
-    return v;
 }
 
 /* Stable LSD radix sort of keys[] with int64 payload vals[]; both scratch
@@ -235,32 +250,34 @@ static void radix_sort_pairs(
 }
 
 /* ------------------------------------------------------------------ */
-/* peel core: clean stream + hot heap                                  */
+/* peel core: clean stream + indexed hot heap                          */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    uint64_t *keys;
+    uint64_t *keys;        /* clean stream: initial keys, sorted */
     uint64_t *keys_tmp;
-    int64_t *clean_nodes;
+    int64_t *clean_nodes;  /* clean stream: nodes, sorted with their keys */
     int64_t *nodes_tmp;
-    double *clean_values;
-    entry_t *hot;
+    uint64_t *min_key;     /* per node: running-minimum key */
+    int64_t *hot_pos;      /* per node: slot in hot, -1 when absent */
+    entry_t *hot;          /* at most one entry per node */
     uint8_t *alive;
 } peel_scratch_t;
 
-/* Returns non-zero on allocation failure. n_flat bounds hot-heap pushes. */
-static int scratch_alloc(peel_scratch_t *s, int64_t n, int64_t n_flat)
+/* Returns non-zero on allocation failure; every buffer holds n (>= 1) items. */
+static int scratch_alloc(peel_scratch_t *s, int64_t n)
 {
     memset(s, 0, sizeof(*s));
     s->keys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
     s->keys_tmp = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
     s->clean_nodes = (int64_t *)malloc((size_t)n * sizeof(int64_t));
     s->nodes_tmp = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    s->clean_values = (double *)malloc((size_t)n * sizeof(double));
-    s->hot = (entry_t *)malloc((size_t)(n_flat + 1) * sizeof(entry_t));
+    s->min_key = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    s->hot_pos = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    s->hot = (entry_t *)malloc((size_t)n * sizeof(entry_t));
     s->alive = (uint8_t *)malloc((size_t)n);
     return !(s->keys && s->keys_tmp && s->clean_nodes && s->nodes_tmp
-             && s->clean_values && s->hot && s->alive);
+             && s->min_key && s->hot_pos && s->hot && s->alive);
 }
 
 static void scratch_free(peel_scratch_t *s)
@@ -269,19 +286,29 @@ static void scratch_free(peel_scratch_t *s)
     free(s->keys_tmp);
     free(s->clean_nodes);
     free(s->nodes_tmp);
-    free(s->clean_values);
+    free(s->min_key);
+    free(s->hot_pos);
     free(s->hot);
     free(s->alive);
 }
 
-/* Peel the flattened graph down to one node. Mutates prio in place (left at
- * its final state, like the reference). densities may be NULL when the
- * caller only needs the best prefix. Returns the number of nodes removed. */
-static int64_t fast_peel_core(
+/* Peel an n-node graph down to one node. Only the n_live nodes listed in
+ * ``live`` (ascending; NULL: all n) go through the heap; the other
+ * n - n_live nodes must be isolated with priority 0.0 below every live
+ * priority, so they pop first in node order (the residual rule in the file
+ * header). Node v's half-edges are adj_other/adj_w[span_lo[v]:span_hi[v]].
+ * Mutates prio in place (left at its final state, like the reference).
+ * removal_order receives the live nodes in pop order; densities (may be
+ * NULL) receives the density after each removal, isolated ones included.
+ * Returns the number of nodes removed. */
+static int64_t peel_core(
     int64_t n,
-    const int64_t *indptr,
-    const int64_t *flat_other,
-    const double *flat_w,
+    int64_t n_live,
+    const int64_t *live,
+    const int64_t *span_lo,
+    const int64_t *span_hi,
+    const int64_t *adj_other,
+    const double *adj_w,
     double *prio,
     double total,
     int64_t *removal_order,
@@ -292,18 +319,22 @@ static int64_t fast_peel_core(
 {
     uint8_t *alive = s->alive;
     entry_t *hot = s->hot;
-    double *clean_values = s->clean_values;
+    int64_t *hot_pos = s->hot_pos;
+    uint64_t *min_key = s->min_key;
+    uint64_t *clean_keys = s->keys;
     int64_t *clean_nodes = s->clean_nodes;
-    const uint64_t *clean_keys = s->keys;
+    int64_t n_iso = n - n_live;
 
-    for (int64_t i = 0; i < n; i++) {
-        s->keys[i] = sort_key(prio[i]);
-        clean_nodes[i] = i;
-        alive[i] = 1;
+    for (int64_t i = 0; i < n_live; i++) {
+        int64_t v = live ? live[i] : i;
+        uint64_t k = sort_key(prio[v]);
+        clean_keys[i] = k;
+        clean_nodes[i] = v;
+        min_key[v] = k;
+        hot_pos[v] = -1;
+        alive[v] = 1;
     }
-    radix_sort_pairs(s->keys, clean_nodes, s->keys_tmp, s->nodes_tmp, n);
-    for (int64_t i = 0; i < n; i++)
-        clean_values[i] = prio[clean_nodes[i]];
+    radix_sort_pairs(clean_keys, clean_nodes, s->keys_tmp, s->nodes_tmp, n_live);
 
     double best_density = total / (double)n;
     if (densities)
@@ -315,47 +346,54 @@ static int64_t fast_peel_core(
     int64_t hot_size = 0;
 
     while (n_alive > 1) {
-        int64_t node;
-        /* hot-vs-clean on packed keys: key order is double order with the
-         * two zeros collapsed, which is exactly how the lexicographic
-         * comparator ranks them, so this picks the same winner. */
-        if (hot_size > 0
-            && (clean_pos >= n || hot[0].k < clean_keys[clean_pos]
-                || (hot[0].k == clean_keys[clean_pos]
-                    && hot[0].node < clean_nodes[clean_pos]))) {
-            entry_t top = hot[0];
-            hot[0] = hot[--hot_size];
-            if (hot_size > 0)
-                sift_down(hot, hot_size, 0);
-            node = top.node;
-            if (!alive[node] || key_to_double(top.k) > prio[node] + 1e-12)
-                continue; /* stale hot entry */
-        } else if (clean_pos < n) {
-            node = clean_nodes[clean_pos];
-            double value = clean_values[clean_pos];
-            clean_pos++;
-            if (!alive[node] || value > prio[node] + 1e-12)
-                continue; /* node popped or re-prioritised since the sort */
-        } else {
-            break; /* unreachable: every alive node always has an entry */
-        }
+        /* removed < n_iso: an isolated node pops; it has no edges and
+         * total -= 0.0 leaves total bitwise unchanged */
+        if (removed >= n_iso) {
+            while (!alive[clean_nodes[clean_pos]])
+                clean_pos++; /* popped from hot since the sort */
+            int64_t node;
+            /* hot-vs-clean on packed keys: key order is double order with
+             * the two zeros collapsed, which is exactly how the
+             * lexicographic comparator ranks them. An alive node has a
+             * clean entry, so the clean stream is never exhausted here. */
+            if (hot_size > 0
+                && (hot[0].k < clean_keys[clean_pos]
+                    || (hot[0].k == clean_keys[clean_pos]
+                        && hot[0].node < clean_nodes[clean_pos]))) {
+                node = hot[0].node;
+                if (--hot_size > 0) {
+                    hot[0] = hot[hot_size];
+                    sift_down(hot, hot_pos, hot_size, 0);
+                }
+            } else {
+                node = clean_nodes[clean_pos++];
+            }
 
-        alive[node] = 0;
-        removal_order[removed++] = node;
-        n_alive--;
-        total -= prio[node];
+            alive[node] = 0;
+            removal_order[removed - n_iso] = node;
+            total -= prio[node];
 
-        for (int64_t j = indptr[node]; j < indptr[node + 1]; j++) {
-            int64_t other = flat_other[j];
-            if (alive[other]) {
-                double updated = prio[other] - flat_w[j];
+            for (int64_t j = span_lo[node]; j < span_hi[node]; j++) {
+                int64_t other = adj_other[j];
+                if (!alive[other])
+                    continue;
+                double updated = prio[other] - adj_w[j];
                 prio[other] = updated;
-                hot[hot_size].k = sort_key(updated);
-                hot[hot_size].node = other;
-                sift_up(hot, hot_size);
-                hot_size++;
+                uint64_t k = sort_key(updated);
+                if (k < min_key[other]) {
+                    min_key[other] = k;
+                    int64_t at = hot_pos[other];
+                    if (at < 0) {
+                        at = hot_size++;
+                        hot[at].node = other;
+                    }
+                    hot[at].k = k;
+                    sift_up(hot, hot_pos, at);
+                }
             }
         }
+        removed++;
+        n_alive--;
 
         double density = total / (double)n_alive;
         if (densities)
@@ -372,7 +410,7 @@ static int64_t fast_peel_core(
 }
 
 /* ------------------------------------------------------------------ */
-/* single-peel entry point (historical ABI, new internals)             */
+/* single-peel entry point                                             */
 /* ------------------------------------------------------------------ */
 
 int64_t repro_greedy_peel(
@@ -390,13 +428,13 @@ int64_t repro_greedy_peel(
     if (n <= 0)
         return 0;
     peel_scratch_t scratch;
-    if (scratch_alloc(&scratch, n, indptr[n])) {
+    if (scratch_alloc(&scratch, n)) {
         scratch_free(&scratch);
         return -1;
     }
-    int64_t removed = fast_peel_core(
-        n, indptr, flat_other, flat_w, prio, total, removal_order, densities,
-        best_density_out, best_removed_out, &scratch);
+    int64_t removed = peel_core(
+        n, n, NULL, indptr, indptr + 1, flat_other, flat_w, prio, total,
+        removal_order, densities, best_density_out, best_removed_out, &scratch);
     scratch_free(&scratch);
     return removed;
 }
@@ -457,7 +495,7 @@ typedef struct {
 } batch_args_t;
 
 /* One member's full FDET run (Algorithm 1): node compaction, CSR build,
- * block loop with residual weights, peel, mask bookkeeping. Sets
+ * block loop over the residual graph, peel, mask bookkeeping. Sets
  * out_status[m] = -1 on allocation failure (the caller re-runs the member
  * on its own). */
 static void run_member(const batch_args_t *a, int64_t m)
@@ -475,10 +513,9 @@ static void run_member(const batch_args_t *a, int64_t m)
 
     uint8_t *present_u = NULL, *present_m = NULL, *edge_alive = NULL, *keep = NULL;
     int64_t *remap_u = NULL, *remap_m = NULL, *mu = NULL, *mm = NULL;
-    int64_t *indptr = NULL, *flat_edge = NULL, *flat_other = NULL, *fill = NULL;
-    int64_t *sub_indptr = NULL, *sub_other = NULL, *removal_order = NULL;
-    int64_t *deg = NULL, *deg_frozen = NULL;
-    double *mw = NULL, *full_w = NULL, *ew = NULL, *sub_w = NULL, *prio = NULL;
+    int64_t *indptr = NULL, *span_hi = NULL, *flat_edge = NULL, *flat_other = NULL;
+    int64_t *alive_edges = NULL, *live = NULL, *removal_order = NULL;
+    double *mw = NULL, *full_w = NULL, *ew = NULL, *half_w = NULL, *prio = NULL;
     peel_scratch_t scratch;
     memset(&scratch, 0, sizeof(scratch));
     int scratch_ok = 0;
@@ -533,31 +570,31 @@ static void run_member(const batch_args_t *a, int64_t m)
     /* ---- per-member scratch ---- */
     {
         int64_t n = nu + nm;
-        int64_t n_flat = 2 * me;
+        int64_t n_half = 2 * me;
         indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        fill = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        flat_edge = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        flat_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        sub_indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        sub_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        sub_w = (double *)malloc((size_t)n_flat * sizeof(double));
+        span_hi = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+        flat_edge = (int64_t *)malloc((size_t)n_half * sizeof(int64_t));
+        flat_other = (int64_t *)malloc((size_t)n_half * sizeof(int64_t));
+        half_w = (double *)malloc((size_t)n_half * sizeof(double));
         full_w = (double *)malloc((size_t)me * sizeof(double));
         ew = (double *)malloc((size_t)me * sizeof(double));
-        prio = (double *)malloc((size_t)n * sizeof(double));
-        deg = (int64_t *)malloc((size_t)nm * sizeof(int64_t));
+        alive_edges = (int64_t *)malloc((size_t)me * sizeof(int64_t));
         edge_alive = (uint8_t *)malloc((size_t)me);
+        prio = (double *)malloc((size_t)n * sizeof(double));
+        live = (int64_t *)malloc((size_t)n * sizeof(int64_t));
         removal_order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
         keep = (uint8_t *)malloc((size_t)n);
-        if (!indptr || !fill || !flat_edge || !flat_other || !sub_indptr
-            || !sub_other || !sub_w || !full_w || !ew || !prio || !deg
-            || !edge_alive || !removal_order || !keep)
+        if (!indptr || !span_hi || !flat_edge || !flat_other || !half_w
+            || !full_w || !ew || !alive_edges || !edge_alive || !prio || !live
+            || !removal_order || !keep)
             goto alloc_failed;
-        if (scratch_alloc(&scratch, n, n_flat))
+        if (scratch_alloc(&scratch, n))
             goto alloc_failed;
         scratch_ok = 1;
 
         /* ---- combined CSR: user spans then merchant spans, each span in
-         * edge order (== numpy's stable argsort by endpoint) ---- */
+         * edge order (== numpy's stable argsort by endpoint). span_hi is the
+         * fill cursor and ends as the span ends. ---- */
         memset(indptr, 0, (size_t)(n + 1) * sizeof(int64_t));
         for (int64_t i = 0; i < me; i++)
             indptr[mu[i] + 1]++;
@@ -565,119 +602,129 @@ static void run_member(const batch_args_t *a, int64_t m)
             indptr[nu + mm[i] + 1]++;
         for (int64_t v = 0; v < n; v++)
             indptr[v + 1] += indptr[v];
-        memcpy(fill, indptr, (size_t)(n + 1) * sizeof(int64_t));
+        memcpy(span_hi, indptr, (size_t)n * sizeof(int64_t));
         for (int64_t i = 0; i < me; i++) {
-            int64_t pos = fill[mu[i]]++;
+            int64_t pos = span_hi[mu[i]]++;
             flat_edge[pos] = i;
             flat_other[pos] = nu + mm[i];
         }
         for (int64_t i = 0; i < me; i++) {
-            int64_t pos = fill[nu + mm[i]]++;
+            int64_t pos = span_hi[nu + mm[i]]++;
             flat_edge[pos] = i;
             flat_other[pos] = mu[i];
         }
 
-        if (a->frozen_policy) {
-            deg_frozen = (int64_t *)malloc((size_t)nm * sizeof(int64_t));
-            if (!deg_frozen)
-                goto alloc_failed;
-            memset(deg_frozen, 0, (size_t)nm * sizeof(int64_t));
-            for (int64_t i = 0; i < me; i++)
-                deg_frozen[mm[i]]++;
+        /* ---- the residual graph: alive edges in edge order, live nodes
+         * (alive span non-empty) in node order; node v's alive half-edges
+         * are flat_*[indptr[v]:span_hi[v]] ---- */
+        int64_t n_alive_edges = me;
+        for (int64_t i = 0; i < me; i++) {
+            alive_edges[i] = i;
+            edge_alive[i] = 1;
         }
+        int64_t n_live = 0;
+        for (int64_t v = 0; v < n; v++)
+            if (span_hi[v] > indptr[v])
+                live[n_live++] = v;
 
         /* ---- the FDET block loop ---- */
-        memset(edge_alive, 1, (size_t)me);
-        int64_t n_alive_edges = me;
         int64_t n_blocks = 0;
         double first_density = 0.0;
         int have_first = 0;
         int64_t row_bytes = (n + 7) / 8;
 
         for (int64_t b = 0; b < a->max_blocks; b++) {
-            if (n_alive_edges == 0)
-                break;
-
-            const int64_t *deg_cur = deg_frozen;
-            if (!a->frozen_policy) {
-                memset(deg, 0, (size_t)nm * sizeof(int64_t));
-                for (int64_t i = 0; i < me; i++)
-                    if (edge_alive[i])
-                        deg[mm[i]]++;
-                deg_cur = deg;
+            /* residual edge weights: table[degree] * member weight, in
+             * edge order. A merchant's residual degree is its alive span
+             * length; FROZEN keeps its full (input) span length. */
+            for (int64_t r = 0; r < n_alive_edges; r++) {
+                int64_t i = alive_edges[r];
+                int64_t v = nu + mm[i];
+                int64_t deg = (a->frozen_policy ? indptr[v + 1] : span_hi[v]) - indptr[v];
+                double w = a->weight_table[deg] * mw[i];
+                ew[r] = w;
+                full_w[i] = w;
             }
 
-            /* residual edge weights: table[degree] * member weight, in
-             * residual (compacted) edge order */
-            int64_t r = 0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i]) {
-                    double w = a->weight_table[deg_cur[mm[i]]] * mw[i];
-                    ew[r++] = w;
-                    full_w[i] = w;
-                }
-
             /* priority = priors.copy() (zeros) + two np.add.at passes */
-            for (int64_t v = 0; v < n; v++)
-                prio[v] = 0.0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i])
-                    prio[mu[i]] += full_w[i];
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i])
-                    prio[nu + mm[i]] += full_w[i];
+            for (int64_t k = 0; k < n_live; k++)
+                prio[live[k]] = 0.0;
+            for (int64_t r = 0; r < n_alive_edges; r++)
+                prio[mu[alive_edges[r]]] += ew[r];
+            for (int64_t r = 0; r < n_alive_edges; r++)
+                prio[nu + mm[alive_edges[r]]] += ew[r];
 
             /* float(priors.sum() + edge_weights.sum()) */
-            double total = 0.0 + pairwise_sum(ew, r);
+            double total = 0.0 + pairwise_sum(ew, n_alive_edges);
 
-            /* adjacency restricted to alive edges (span order kept) */
-            const int64_t *use_indptr;
-            const int64_t *use_other;
-            if (n_alive_edges == me) {
-                use_indptr = indptr;
-                use_other = flat_other;
-                for (int64_t j = 0; j < n_flat; j++)
-                    sub_w[j] = full_w[flat_edge[j]];
-            } else {
-                int64_t pos = 0;
-                for (int64_t v = 0; v < n; v++) {
-                    sub_indptr[v] = pos;
-                    for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
-                        int64_t e = flat_edge[j];
-                        if (edge_alive[e]) {
-                            sub_other[pos] = flat_other[j];
-                            sub_w[pos] = full_w[e];
-                            pos++;
-                        }
-                    }
-                }
-                sub_indptr[n] = pos;
-                use_indptr = sub_indptr;
-                use_other = sub_other;
+            int residual = 1;
+            for (int64_t k = 0; k < n_live; k++) {
+                int64_t v = live[k];
+                if (!(prio[v] > 0.0))
+                    residual = 0;
+                for (int64_t j = indptr[v]; j < span_hi[v]; j++)
+                    half_w[j] = full_w[flat_edge[j]];
+            }
+            /* guard: a live priority <= 0.0 may pop among the isolated
+             * nodes, so the whole node set peels */
+            int64_t n_peel = n_live;
+            if (!residual) {
+                for (int64_t v = 0; v < n; v++)
+                    if (span_hi[v] == indptr[v])
+                        prio[v] = 0.0;
+                n_peel = n;
             }
 
             double best_density;
             int64_t best_removed;
-            fast_peel_core(
-                n, use_indptr, use_other, sub_w, prio, total, removal_order,
-                NULL, &best_density, &best_removed, &scratch);
+            peel_core(
+                n, n_peel, residual ? live : NULL, indptr, span_hi, flat_other,
+                half_w, prio, total, removal_order, NULL, &best_density,
+                &best_removed, &scratch);
 
-            memset(keep, 1, (size_t)n);
-            for (int64_t i = 0; i < best_removed; i++)
+            /* keep[] = nodes alive after best_removed pops. Only the live
+             * ones matter unless some isolated nodes outlast the prefix
+             * (or the whole node set peeled): then every node is marked. */
+            int64_t n_iso = n - n_peel;
+            int64_t iso_removed = best_removed < n_iso ? best_removed : n_iso;
+            int all_nodes = n_peel == n || iso_removed < n_iso;
+            if (all_nodes) {
+                memset(keep, 1, (size_t)n);
+                for (int64_t v = 0, k = 0; k < iso_removed; v++)
+                    if (span_hi[v] == indptr[v]) {
+                        keep[v] = 0; /* isolated nodes pop in node order */
+                        k++;
+                    }
+            } else {
+                for (int64_t k = 0; k < n_live; k++)
+                    keep[live[k]] = 1;
+            }
+            for (int64_t i = 0; i < best_removed - iso_removed; i++)
                 keep[removal_order[i]] = 0;
 
-            int64_t count = 0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i] && keep[mu[i]] && keep[nu + mm[i]])
+            /* the block's edges leave the alive list (a block that fails
+             * min_block_edges ends the loop, so the residual is moot) */
+            int64_t count = 0, r_next = 0;
+            for (int64_t r = 0; r < n_alive_edges; r++) {
+                int64_t i = alive_edges[r];
+                if (keep[mu[i]] && keep[nu + mm[i]]) {
+                    edge_alive[i] = 0;
                     count++;
+                } else {
+                    alive_edges[r_next++] = i;
+                }
+            }
             if (count < a->min_block_edges)
                 break;
 
             uint8_t *row = a->block_masks + a->mask_off[m] + n_blocks * row_bytes;
             memset(row, 0, (size_t)row_bytes);
-            for (int64_t v = 0; v < n; v++)
+            int64_t n_marked = all_nodes ? n : n_live;
+            for (int64_t k = 0; k < n_marked; k++) {
+                int64_t v = all_nodes ? k : live[k];
                 if (keep[v])
                     row[v >> 3] |= (uint8_t)(1u << (v & 7));
+            }
             a->block_density[m * a->max_blocks + n_blocks] = best_density;
             a->block_n_edges[m * a->max_blocks + n_blocks] = count;
             n_blocks++;
@@ -690,10 +737,29 @@ static void run_member(const batch_args_t *a, int64_t m)
                 break;
             }
 
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i] && keep[mu[i]] && keep[nu + mm[i]])
-                    edge_alive[i] = 0;
-            n_alive_edges -= count;
+            n_alive_edges = r_next;
+            if (n_alive_edges == 0 || b + 1 == a->max_blocks)
+                break;
+
+            /* only kept nodes lost edges: shrink their alive spans in
+             * place (span order kept), then drop nodes left isolated */
+            int64_t n_live_next = 0;
+            for (int64_t k = 0; k < n_live; k++) {
+                int64_t v = live[k];
+                if (keep[v]) {
+                    int64_t hi = indptr[v];
+                    for (int64_t j = indptr[v]; j < span_hi[v]; j++)
+                        if (edge_alive[flat_edge[j]]) {
+                            flat_edge[hi] = flat_edge[j];
+                            flat_other[hi] = flat_other[j];
+                            hi++;
+                        }
+                    span_hi[v] = hi;
+                }
+                if (span_hi[v] > indptr[v])
+                    live[n_live_next++] = v;
+            }
+            n_live = n_live_next;
         }
         a->out_n_blocks[m] = n_blocks;
     }
@@ -712,18 +778,16 @@ cleanup:
     free(mm);
     free(mw);
     free(indptr);
-    free(fill);
+    free(span_hi);
     free(flat_edge);
     free(flat_other);
-    free(sub_indptr);
-    free(sub_other);
-    free(sub_w);
+    free(half_w);
     free(full_w);
     free(ew);
-    free(prio);
-    free(deg);
-    free(deg_frozen);
+    free(alive_edges);
     free(edge_alive);
+    free(prio);
+    free(live);
     free(removal_order);
     free(keep);
     if (scratch_ok)

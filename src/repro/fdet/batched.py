@@ -14,9 +14,14 @@ graph here as one all-edges member that keeps every node.
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
 marshalling, truncation, :class:`Block` / :class:`FdetResult` assembly,
 and the vote tally (``np.bincount`` over the members' parent node
-indices). Everything the kernel computes is **bitwise identical** to the
-reference pipeline (``materialize_plan`` + the reference
-``Fdet.detect``) — enforced by ``tests/fdet/test_batched_parity.py``,
+indices). Inside the kernel each block peels only the member's residual
+graph: its alive edges and the nodes they touch, with the isolated
+nodes' share of the density curve replayed rather than peeled (the rule
+and its guard are in the ``_peel_kernel.c`` header). Everything the
+kernel computes is **bitwise identical** to the reference pipeline
+(``materialize_plan`` + ``Fdet.detect`` on the reference engine) —
+enforced against that engine by ``tests/fdet/test_batched_parity.py``,
+``tests/fdet/test_residual_parity.py``,
 ``tests/ensemble/test_plan_parity.py`` and
 ``tests/fdet/test_engine_parity.py`` across sampler families, window
 modes and execution backends.

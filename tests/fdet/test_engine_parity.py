@@ -7,8 +7,8 @@ densities series identical to ``engine="reference"`` — and that
 ``Fdet.detect`` (the batched kernel under ``fast``) matches the seed's
 rebuild-per-block formulation under both weight policies, isolated nodes
 and zero or negative weights included. Every case runs with the kernel
-loaded and on a simulated host without a compiler, where ``fast`` falls
-back to the pure-Python reference engine.
+loaded; one more shows that on a simulated host without a compiler
+``fast`` falls back to the reference engine.
 """
 
 from __future__ import annotations
@@ -28,19 +28,15 @@ from repro.fdet import (
     WeightPolicy,
     greedy_peel,
 )
+from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph
 
 
-@pytest.fixture(params=["native", "python"])
+@pytest.fixture(params=["native"])
 def fast_core(request):
-    """Run each parity case with the kernel and without one (``REPRO_NATIVE=0``)."""
-    if request.param == "python":
-        request.getfixturevalue("no_native")
-    else:
-        from repro.fdet._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable (no C compiler)")
+    """Run each parity case with the kernel loaded (skip on hosts without one)."""
+    if not native_available():
+        pytest.skip("native kernel unavailable (no C compiler)")
     return request.param
 
 
@@ -251,3 +247,12 @@ class TestDetectEngineParity:
         weights = np.random.default_rng(3).uniform(-1.0, 2.0, base.n_edges)
         graph = base.with_weights(weights)
         _assert_detect_parity(graph, FdetConfig(max_blocks=8, weight_policy=policy))
+
+
+def test_fast_engine_falls_back_without_kernel(no_native):
+    """No kernel (``REPRO_NATIVE=0``): ``fast`` runs the reference engine."""
+    assert not native_available()
+    graph = chung_lu_bipartite(150, 60, 500, rng=4)
+    weights = np.random.default_rng(6).uniform(0.2, 3.0, graph.n_edges)
+    assert_peel_parity(graph, weights)
+    _assert_detect_parity(graph, FdetConfig(max_blocks=6))
