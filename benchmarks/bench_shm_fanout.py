@@ -3,7 +3,7 @@
 At ``N = 80`` on jd-like data (jd1), measures for the process backend:
 
 * **transfer bytes** — what the parent pickles into the workers: whole
-  sampled subgraphs per chunk (eager) vs one ~100-byte segment layout plus
+  sampled subgraphs per chunk (eager) vs one ~100-byte store-file layout plus
   the compact per-member :class:`~repro.sampling.SamplePlan` arrays
   (zero-copy). The plan path must ship **≥5x** fewer bytes.
 * **peak RSS** — each pipeline runs one full fit in a fresh subprocess so
@@ -11,7 +11,8 @@ At ``N = 80`` on jd-like data (jd1), measures for the process backend:
   zero-copy fit must peak measurably lower (eager materializes all N
   subgraphs in the parent before detection starts).
 * **wall-clock** of the two fits, for the committed record.
-* **hygiene** — no ``repro_gs_*`` shared-memory segment survives the fit.
+* **hygiene** — no ``repro_gs_*`` spill directory survives the fit (the
+  parent graph reaches the workers as one temporary store file).
 
 Pass/fail compares plan-vs-eager measured on the *same* host in the same
 run; the committed baseline (``baselines/shm_fanout.json``) records the
@@ -27,6 +28,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
@@ -141,10 +143,9 @@ def measure_transfer_bytes() -> dict:
     }
 
 
-def leaked_segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith("repro_gs_")]
+def leaked_spills() -> list[str]:
+    root = tempfile.gettempdir()
+    return [name for name in os.listdir(root) if name.startswith("repro_gs_")]
 
 
 def measure() -> dict:
@@ -177,8 +178,8 @@ def test_shm_fanout(benchmark):
     # N subgraphs before (and keeps them across) the detection stage
     assert stats["plan"]["parent_rss_bytes"] < stats["eager"]["parent_rss_bytes"], stats
 
-    # the fit's shared segment must not survive it
-    assert leaked_segments() == []
+    # the fit's spill directory must not survive it
+    assert leaked_spills() == []
 
     print()
     print(

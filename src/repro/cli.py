@@ -146,7 +146,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             max_blocks=args.max_blocks,
             engine=args.engine,
             executor=args.executor,
-            shared_memory=not args.no_shm,
         )
         detection = make_detector(args.detector, context).fit(graph)
         _print_ranking(detection, args.top)
@@ -157,9 +156,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         fdet=FdetConfig(max_blocks=args.max_blocks, engine=args.engine),
         executor=args.executor,
         seed=args.seed,
-        shared_memory=not args.no_shm,
         shards=args.shards,
-        mmap=args.mmap,
     )
     result = EnsemFDet(config).fit(graph)
     threshold = _default_threshold(args.threshold, args.samples)
@@ -342,9 +339,7 @@ def _bootstrap_state(
         fdet=FdetConfig(max_blocks=args.max_blocks, engine=args.engine),
         executor=args.executor,
         seed=args.seed,
-        shared_memory=not args.no_shm,
         shards=args.shards,
-        mmap=args.mmap,
         tolerance=FaultTolerance(
             member_timeout=args.member_timeout,
             max_retries=args.max_retries,
@@ -702,23 +697,11 @@ def main(argv: list[str] | None = None) -> int:
     detect.add_argument("--executor", choices=("serial", "thread", "process"), default="process")
     detect.add_argument("--seed", type=int, default=0)
     detect.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="ship the graph store to process workers by pickle instead of "
-        "publishing one shared-memory segment",
-    )
-    detect.add_argument(
         "--shards",
         type=int,
         default=1,
         help="run the ensemble in K stripe shards, each over a store holding "
         "only the edges its members sample (vote table is bitwise-identical)",
-    )
-    detect.add_argument(
-        "--mmap",
-        action="store_true",
-        help="spill graph stores to mmap-backed files so workers read columns "
-        "lazily instead of copying them (out-of-core operation)",
     )
     detect.set_defaults(func=_cmd_detect)
 
@@ -759,21 +742,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         command.add_argument("--seed", type=int, default=0)
         command.add_argument(
-            "--no-shm",
-            action="store_true",
-            help="disable the shared-memory graph segment for process workers",
-        )
-        command.add_argument(
             "--shards",
             type=int,
             default=1,
             help="cold-fit the ensemble in K stripe shards (stored in the state)",
-        )
-        command.add_argument(
-            "--mmap",
-            action="store_true",
-            help="spill graph stores to mmap-backed files for process workers "
-            "(stored in the state; updates reuse it)",
         )
         command.add_argument(
             "--member-timeout",

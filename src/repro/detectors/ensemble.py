@@ -142,7 +142,6 @@ def _ensemble_config(
         ),
         executor=spec.executor if spec.executor is not None else context.executor,
         seed=spec.seed if spec.seed is not None else context.seed,
-        shared_memory=context.shared_memory,
     )
 
 

@@ -60,7 +60,6 @@ class DetectorContext:
     n_components: int = 25
     engine: str = PeelEngine.DEFAULT
     executor: str = ExecutorMode.SERIAL
-    shared_memory: bool = True
 
 
 _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}

@@ -61,11 +61,6 @@ class EnsemFDetConfig:
     track_appearances:
         Also record which nodes each sample contained, enabling the
         normalised-vote ablation (slightly more memory).
-    shared_memory:
-        For the process backend, publish the parent graph once through a
-        shared-memory :class:`~repro.graph.GraphStore` segment instead of
-        pickling graph bytes into every worker. Disable to force the
-        pickled-store fallback (debugging, exotic platforms).
     tolerance:
         Degraded-mode policy for the detection stage: per-member timeout,
         bounded deterministic retries with backend degradation, and the
@@ -87,15 +82,15 @@ class EnsemFDetConfig:
         groups, each run against a shard store holding only the edges its
         members sample, and the per-shard vote tables are merged — bitwise
         identical to the unsharded fit (see
-        :mod:`repro.ensemble.sharding`). ``1`` (the default) disables
-        sharding. Works with every sampler.
-    mmap:
-        Out-of-core transport: ship the parent (or each shard store) to
-        process workers as an mmap-able store file instead of a shared
-        segment, and — when sharding — keep at most one shard's columns
-        resident in the parent at a time. A fit on a store opened with
-        :meth:`~repro.graph.GraphStore.open` uses the file transport
-        implicitly.
+        :mod:`repro.ensemble.sharding`). Each shard is spilled to a store
+        file, so the parent holds at most one shard's columns resident at
+        a time. ``1`` (the default) disables sharding. Works with every
+        sampler.
+
+    The process backend always ships the parent graph to its workers as
+    one mmap-able store file: the file a store opened with
+    :meth:`~repro.graph.GraphStore.open` came from, or a temporary spill
+    of a resident graph. No graph bytes are pickled per member.
     """
 
     sampler: Sampler = field(default_factory=lambda: RandomEdgeSampler(0.1))
@@ -105,11 +100,9 @@ class EnsemFDetConfig:
     n_workers: int | None = None
     seed: int | None = None
     track_appearances: bool = False
-    shared_memory: bool = True
     tolerance: FaultTolerance = field(default_factory=FaultTolerance)
     native_batch: bool | None = None
     shards: int = 1
-    mmap: bool = False
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -370,11 +363,9 @@ class EnsemFDet:
                 n_workers=config.n_workers,
                 pool=self.pool,
                 track_members=track_members,
-                shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
                 window=window,
                 native_batch=config.native_batch,
-                mmap=config.mmap,
             )
             return run, shard_plan
         run = run_members(
@@ -385,11 +376,9 @@ class EnsemFDet:
             n_workers=config.n_workers,
             pool=self.pool,
             track_members=track_members,
-            shared_memory=config.shared_memory,
             tolerance=config.tolerance,
             window=window,
             native_batch=config.native_batch,
-            mmap=config.mmap,
         )
         return run, None
 

@@ -390,6 +390,7 @@ class IncrementalEnsemFDet:
             plans = [sampler.stripe_plan(inclusion[index]) for index in stale]
 
         with Timer() as detection_timer:
+            # updates refresh few members, so sharding would be pure overhead
             run = run_members(
                 graph,
                 plans,
@@ -398,13 +399,9 @@ class IncrementalEnsemFDet:
                 n_workers=config.n_workers,
                 pool=self.pool,
                 track_members=True,
-                shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
                 window=window,
                 native_batch=config.native_batch,
-                # updates refresh few members, so sharding would be pure
-                # overhead; the mmap transport still applies
-                mmap=config.mmap,
             )
 
         failures = self._merge_refreshed(run, stale, graph)
@@ -521,9 +518,7 @@ class IncrementalEnsemFDet:
                 "executor": config.executor,
                 "n_workers": config.n_workers,
                 "track_appearances": config.track_appearances,
-                "shared_memory": config.shared_memory,
                 "shards": config.shards,
-                "mmap": config.mmap,
                 "tolerance": config.tolerance.as_dict(),
             },
             "sampler": {"ratio": sampler.ratio, "stripe": sampler.stripe},
@@ -561,11 +556,9 @@ class IncrementalEnsemFDet:
             n_workers=ensemble["n_workers"],
             seed=ensemble["seed"],
             track_appearances=ensemble["track_appearances"],
-            # absent in states saved before the zero-copy fan-out refactor
-            shared_memory=ensemble.get("shared_memory", True),
-            # absent in states saved before the sharded / out-of-core layer
+            # absent in states saved before the sharded / out-of-core layer;
+            # keys of retired transport knobs in older states are ignored
             shards=ensemble.get("shards", 1),
-            mmap=ensemble.get("mmap", False),
             # absent in states saved before the fault-tolerance layer
             tolerance=FaultTolerance.from_dict(ensemble.get("tolerance")),
         )

@@ -5,19 +5,18 @@ Two fan-out shapes live here:
 * :func:`detect_on_plans` — the **zero-copy** pipeline used by
   :class:`~repro.ensemble.EnsemFDet`. The parent keeps the graph in one
   frozen :class:`~repro.graph.GraphStore`; for the process backend the
-  store is exported to a shared-memory segment (or, with ``mmap=True`` /
-  a file-backed store, spilled once to an mmap-able store file), workers
-  attach **once per process** (pool initializer for one-shot pools, a
-  process-local cache for :class:`~repro.parallel.ReusablePool` workers)
+  store travels as one mmap-able store file — the file a parent was
+  opened from (:meth:`GraphStore.open`), or a compacted spill of a
+  resident parent (:meth:`GraphStore.export_shared`, once per attempt).
+  Workers map the file **once per process** (a process-local cache, so
+  :class:`~repro.parallel.ReusablePool` workers reuse it across fits)
   and run their chunk of compact plans (:class:`~repro.sampling.SamplePlan`
   of every kind: edge lists, node picks, stripe rows) through one batched
   kernel call — zero graph bytes are pickled per ensemble member, only
   the ~1%-sized plans and a ~100-byte :class:`~repro.graph.StoreLayout`
-  descriptor. A parent opened straight from a store file
-  (:meth:`GraphStore.open`) ships just its path+layout: workers map the
-  same file lazily, so out-of-core graphs never materialize in any
-  process. Serial and thread backends skip the segment and run against
-  the in-process graph directly. One chunk function
+  descriptor. Mapped columns are read lazily, so out-of-core graphs
+  never materialize in any process. Serial and thread backends skip the
+  file and run against the in-process graph directly. One chunk function
   (:func:`_detect_member_chunk`) serves every backend.
 * :func:`detect_on_samples` — the historical eager shape, mapping already
   materialized subgraphs. Kept for callers that hold real subgraphs (and
@@ -28,12 +27,12 @@ engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
 policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
 the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → thread → serial), shared-memory → pickled-store
+degradation (process → thread → serial), store-file → pickled-store
 fallback and, after a worker crash, kernel → reference-engine fallback —
 and whatever still fails after the last round comes back as a
 typed :class:`MemberFailure` instead of an exception. The parent-side
-shared segment is unlinked on **every** exit path (normal, crash, timeout,
-KeyboardInterrupt), backstopped by the store's ``weakref.finalize``.
+spill directory is removed on **every** exit path (normal, crash, timeout,
+KeyboardInterrupt), backstopped by the handle's ``weakref.finalize``.
 
 Because plans re-materialize deterministically, a member that fails and
 then succeeds on retry produces a detection bitwise-identical to a
@@ -47,9 +46,6 @@ layer do; plain MVA does not).
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time as _time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -87,7 +83,7 @@ __all__ = [
 #: failure classification recorded per member
 FAIL_CRASH = "crash"  # the worker process died under the member
 FAIL_TIMEOUT = "timeout"  # the member (chunk) exceeded its wall-clock budget
-FAIL_SHM = "shm"  # the worker could not attach the shared graph segment
+FAIL_TRANSPORT = "transport"  # the worker could not map the parent's store file
 FAIL_ERROR = "error"  # the member's own code raised
 
 
@@ -117,7 +113,7 @@ class MemberFailure:
     """One ensemble member that still had no detection after every retry."""
 
     index: int
-    kind: str  # one of FAIL_CRASH / FAIL_TIMEOUT / FAIL_SHM / FAIL_ERROR
+    kind: str  # one of FAIL_CRASH / FAIL_TIMEOUT / FAIL_TRANSPORT / FAIL_ERROR
     error: str
     attempts: int
 
@@ -194,11 +190,11 @@ def _resolve_parent(
     """The parent graph (and liveness overlay) a worker materializes against.
 
     A :class:`StoreLayout` resolves through the process-local attachment
-    cache (first touch maps the segment, later chunks and later fits on
-    the same segment are dictionary hits); a pickled :class:`GraphStore`
-    is the no-shared-memory fallback; a :class:`BipartiteGraph` arrives
+    cache (first touch maps the file, later chunks and later fits on the
+    same file are dictionary hits); a pickled :class:`GraphStore` is the
+    fallback after a transport failure; a :class:`BipartiteGraph` arrives
     only on in-process backends. Stores carry their window columns in the
-    segment itself, so ``window`` is only consulted for in-process graphs.
+    file itself, so ``window`` is only consulted for in-process graphs.
     """
     if isinstance(source, StoreLayout):
         store = attached_store(source)
@@ -206,11 +202,6 @@ def _resolve_parent(
     if isinstance(source, GraphStore):
         return source.to_graph(), source.edge_window()
     return source, window
-
-
-def _attach_worker(layout: StoreLayout) -> None:
-    """Pool initializer: map the shared segment once, at worker spawn."""
-    attached_store(layout)
 
 
 def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> SampleDetection:
@@ -244,7 +235,8 @@ def _detect_member_chunk(
     own code raises fails alone, recorded with its kind, and the rest of
     the chunk still runs. The per-member injection points fire *inside*
     the worker, so chaos plans exercise the real fan-out path (chunk
-    pickling, segment attach, materialization) unmodified.
+    pickling, store-file mapping, materialization) unmodified. A parent
+    that cannot be mapped fails the whole chunk as ``FAIL_TRANSPORT``.
 
     With the batched backend on and an eligible config, the chunk's
     members run through one multi-member kernel call (``threads`` wide).
@@ -254,7 +246,10 @@ def _detect_member_chunk(
     the members at fault fail.
     """
     source, config, members, track_members, attempt, window, native_batch, threads = args
-    graph, window = _resolve_parent(source, window)
+    try:
+        graph, window = _resolve_parent(source, window)
+    except (GraphError, InjectedFault, OSError) as exc:  # the retry ships the pickled store
+        return {}, {index: (FAIL_TRANSPORT, exc) for index, _ in members}
     fdet = Fdet(config)
     use_batch = (
         native_batch
@@ -321,12 +316,6 @@ def _classify(error: BaseException) -> str:
         return FAIL_CRASH
     if isinstance(error, TimeoutError):
         return FAIL_TIMEOUT
-    if isinstance(error, GraphError) and ("segment" in str(error) or "store file" in str(error)):
-        return FAIL_SHM
-    if isinstance(error, InjectedFault) and (
-        "shm.attach" in str(error) or "mmap.open" in str(error)
-    ):
-        return FAIL_SHM
     return FAIL_ERROR
 
 
@@ -393,29 +382,29 @@ def _run_pooled(
     n_workers: int | None,
     pool: ReusablePool | None,
     track_members: bool,
-    use_shm: bool,
+    use_file: bool,
     attempt: int,
     tolerance: FaultTolerance,
     window: EdgeWindow | None = None,
     native_batch: bool = False,
-    use_mmap: bool = False,
     source_store: GraphStore | None = None,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], str]:
     """One thread/process attempt. Returns ``(results, failures, transport)``.
 
     ``transport`` names what actually carried the parent to the workers:
-    ``"file"`` (the parent is already a file-backed store — its path+layout
-    descriptor is shipped and workers map the same file), ``"mmap"`` (the
-    store was spilled once to a temporary store file), ``"shm"`` (shared
-    segment), ``"pickle"`` (the columnar store pickled per worker chunk)
-    or ``"local"`` (thread backend, no transport at all).
+    ``"file"`` (the parent is already a file-backed store — its layout is
+    shipped and workers map the same file), ``"spill"`` (a resident parent
+    spilled once to a temporary store file), ``"pickle"`` (the columnar
+    store pickled per worker chunk: after a transport failure, or when the
+    spill volume refuses the write) or ``"local"`` (thread backend, no
+    transport at all).
 
-    The shared segment / spill file (process backend) is created before
-    the fan-out and removed in the ``finally`` below no matter how the
-    attempt ends — worker crash, timeout kill, Ctrl-C — so ``/dev/shm``
-    and the spill dir can never accumulate orphans. ``weakref.finalize``
-    on the segment handle backstops even a failure inside this function
-    (on Linux the unlinked spill file stays valid for live worker maps).
+    The spill (process backend) is created before the fan-out and removed
+    in the ``finally`` below no matter how the attempt ends — worker
+    crash, timeout kill, Ctrl-C — so spill directories can never
+    accumulate; the handle's ``weakref.finalize`` backstops even a failure
+    inside this function (on Linux the removed file stays valid for live
+    worker maps).
     """
     process = backend == ExecutorMode.PROCESS
     workers = (
@@ -425,48 +414,23 @@ def _run_pooled(
     )
 
     source: BipartiteGraph | GraphStore | StoreLayout = graph
-    shared = None
-    spill_dir: str | None = None
-    initializer = None
-    initargs: tuple = ()
+    spilled = None
     plan_window = window
     transport = "local"
     if process:
-        # the liveness columns ride inside the store/segment/file; workers
-        # rebuild the EdgeWindow from the attached columns
-        store = (
-            source_store
-            if source_store is not None
-            else GraphStore.from_graph(graph, window)
-        )
-        source = store
-        plan_window = None
-        transport = "pickle"
-        if use_mmap and store.layout is not None and store.layout.kind == "file":
-            # already file-backed: ship only the path+layout descriptor
-            source = store.layout
-            initializer, initargs = _attach_worker, (store.layout,)
-            transport = "file"
-        elif use_mmap:
-            spill_dir = tempfile.mkdtemp(prefix="repro_gs_spill_")
+        # the liveness columns ride inside the store; workers rebuild the
+        # EdgeWindow from the mapped columns
+        store = source_store if source_store is not None else GraphStore.from_graph(graph, window)
+        source, plan_window, transport = store, None, "pickle"
+        if use_file and store.layout is not None:
+            source, transport = store.layout, "file"
+        elif use_file:
             try:
-                layout = store.save(os.path.join(spill_dir, "graph.store"))
-            except OSError:  # pragma: no cover - spill volume full/unwritable
-                shutil.rmtree(spill_dir, ignore_errors=True)
-                spill_dir = None
+                spilled = store.export_shared()
+            except OSError:  # spill volume full or unwritable: pickle instead
+                pass
             else:
-                source = layout
-                initializer, initargs = _attach_worker, (layout,)
-                transport = "mmap"
-        if transport == "pickle" and use_shm:
-            try:
-                shared = store.export_shared()
-            except OSError:  # pragma: no cover - no usable /dev/shm on this host
-                shared = None
-            else:
-                source = shared.layout
-                initializer, initargs = _attach_worker, (shared.layout,)
-                transport = "shm"
+                source, transport = spilled.layout, "spill"
 
     own_executor = None
     borrowed_pool = pool is not None and pool.mode == backend
@@ -488,10 +452,7 @@ def _run_pooled(
             submit = pool.submit
         elif process:
             own_executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)),
-                mp_context=_process_context(),
-                initializer=initializer,
-                initargs=initargs,
+                max_workers=min(workers, len(chunks)), mp_context=_process_context()
             )
             submit = own_executor.submit
         else:
@@ -526,10 +487,8 @@ def _run_pooled(
     finally:
         if own_executor is not None:
             own_executor.shutdown(wait=False, cancel_futures=True)
-        if shared is not None:
-            shared.dispose()
-        if spill_dir is not None:
-            shutil.rmtree(spill_dir, ignore_errors=True)
+        if spilled is not None:
+            spilled.dispose()
 
 
 def run_members(
@@ -541,11 +500,9 @@ def run_members(
     engine: str | None = None,
     pool: ReusablePool | None = None,
     track_members: bool = True,
-    shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
     native_batch: bool | None = None,
-    mmap: bool = False,
 ) -> MemberRun:
     """Fault-tolerant fan-out: every plan either detects or fails *typed*.
 
@@ -557,31 +514,29 @@ def run_members(
     The degradation ladder has a kernel rung: a worker-crash round may
     mean the kernel crashed, so the remaining retries run each member
     alone on the reference engine, which never calls the kernel — the way
-    shm failures disable the shared segment.
+    transport failures switch to the pickled store.
 
-    ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
-    graph — in particular one opened straight from a store file
-    (:meth:`GraphStore.open`), whose windowed columns (if any) become the
-    liveness overlay automatically. Process fan-outs then ship only the
-    path+layout descriptor: workers map the same file lazily and the
-    parent columns never materialize anywhere. ``mmap=True`` requests the
-    same file transport for a resident parent by spilling the (compacted)
-    store to a temporary file once per attempt instead of exporting a
-    shared segment. Either file transport degrades to the pickled store
-    after an ``mmap.open``/attach failure, exactly like shm does.
+    Process fan-outs ship the parent as one store file. ``graph`` may be a
+    :class:`~repro.graph.GraphStore` instead of a graph — in particular one
+    opened straight from a store file (:meth:`GraphStore.open`), whose
+    windowed columns (if any) become the liveness overlay automatically;
+    its layout is shipped as-is, so workers map the same file lazily and
+    the parent columns never materialize anywhere. A resident parent is
+    spilled (compacted) to a temporary store file once per attempt. After
+    an ``mmap.open`` failure (kind ``"transport"``) the retries ship the
+    pickled store instead; so does an attempt whose spill write fails.
 
     With ``window`` set, ``graph`` is the full stored graph of a rolling
     window and every member materializes through the liveness overlay
     (see :func:`repro.sampling.materialize_plan`); the overlay travels
-    through the shared segment / store file / pickled store on process
-    backends.
+    through the store file / pickled store on process backends.
 
     The engine behind :func:`detect_on_plans` and
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
     requested backend, then re-runs failed members for up to
     ``tolerance.max_retries`` extra rounds with deterministic backoff,
     degrading the backend (process → thread → serial) and falling back
-    from shared memory to the pickled store when the failure kinds call
+    from the store file to the pickled store when the failure kinds call
     for it. Members that never succeed come back as
     :class:`MemberFailure` entries; the caller decides whether that is a
     quorum violation.
@@ -613,15 +568,7 @@ def run_members(
     fail_info: dict[int, tuple[str, BaseException]] = {}
     attempts_of: dict[int, int] = {}
     retry_log: list[dict] = []
-    use_shm = shared_memory
-    # a file-backed parent defaults to the file transport even without
-    # mmap=True: its bytes are already on disk, re-exporting them would
-    # defeat the point of opening out-of-core
-    use_mmap = mmap or (
-        source_store is not None
-        and source_store.layout is not None
-        and source_store.layout.kind == "file"
-    )
+    use_file = True
     use_batch = _batched.resolve_native_batch(native_batch)
 
     for attempt in range(tolerance.max_retries + 1):
@@ -657,12 +604,11 @@ def run_members(
                 n_workers,
                 attempt_pool,
                 track_members,
-                use_shm,
+                use_file,
                 attempt,
                 tolerance,
                 window,
                 use_batch,
-                use_mmap,
                 source_store,
             )
 
@@ -673,7 +619,6 @@ def run_members(
             {
                 "attempt": attempt,
                 "backend": ExecutorMode.SERIAL if in_parent else backend,
-                "shared_memory": transport == "shm",
                 "transport": transport,
                 "native_batch": bool(use_batch),
                 "engine": config.engine,
@@ -683,14 +628,12 @@ def run_members(
             }
         )
         fail_info.update(failures)
-        if any(kind == FAIL_SHM for kind, _ in failures.values()):
-            # the zero-copy transport itself is suspect (segment attach or
-            # file map failed) — pickled store next
-            use_shm = False
-            use_mmap = False
+        if any(kind == FAIL_TRANSPORT for kind, _ in failures.values()):
+            # the store file could not be mapped — pickled store next
+            use_file = False
         if any(kind == FAIL_CRASH for kind, _ in failures.values()):
             # a dead worker may mean the kernel crashed — retries run each
-            # member alone on the reference engine, like shm degrades
+            # member alone on the reference engine, like transports degrade
             use_batch = False
             config = _maybe_override_engine(config, PeelEngine.REFERENCE)
         pending = failed
@@ -733,9 +676,10 @@ def _raise_first_failure(run: MemberRun) -> None:
             "to isolate the member",
             member_indices=indices,
         )
-    # member/application-level error (including shm-attach): re-raise the
-    # original exception so strict callers keep fail-fast semantics (e.g.
-    # a DetectionError from a misconfigured FdetConfig propagates as-is)
+    # member/application-level error (including a transport failure):
+    # re-raise the original exception so strict callers keep fail-fast
+    # semantics (e.g. a DetectionError from a misconfigured FdetConfig
+    # propagates as-is)
     original = (run.errors or {}).get(first.index)
     if original is not None:
         raise original
@@ -753,11 +697,9 @@ def detect_on_plans(
     engine: str | None = None,
     pool: ReusablePool | None = None,
     track_members: bool = True,
-    shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
     native_batch: bool | None = None,
-    mmap: bool = False,
 ) -> list[SampleDetection]:
     """Materialize every plan against ``graph`` and run FDET on it.
 
@@ -784,22 +726,11 @@ def detect_on_plans(
     track_members:
         Record each sample's node labels on the detections (needed by
         appearance-normalised voting and the incremental layer).
-    shared_memory:
-        For process backends, export the parent once to a shared segment
-        instead of pickling it into every worker. Falls back to shipping
-        the columnar store (pickled once per worker chunk) when the
-        platform refuses the segment.
     tolerance:
         Retry/timeout/degradation policy; defaults to strict (no retries).
     native_batch:
         Batched native backend switch (``None`` = ``REPRO_NATIVE_BATCH``,
         default on); see :func:`run_members`.
-    mmap:
-        For process backends, ship the parent as an mmap-able store file
-        (a path+layout descriptor) instead of a shared segment — the
-        out-of-core transport. A ``graph`` that is already a file-backed
-        :class:`~repro.graph.GraphStore` uses this transport implicitly;
-        see :func:`run_members`.
     """
     run = run_members(
         graph,
@@ -810,11 +741,9 @@ def detect_on_plans(
         engine=engine,
         pool=pool,
         track_members=track_members,
-        shared_memory=shared_memory,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
         native_batch=native_batch,
-        mmap=mmap,
     )
     _raise_first_failure(run)
     return [detection for detection in run.detections if detection is not None]

@@ -1,7 +1,7 @@
 """Stripe-sharded ensemble execution: K shard stores, one merged vote table.
 
 A fit at ``N`` samples touches the full parent edge set ``N·S`` times; for
-10M+-edge graphs that working set dwarfs RAM even with the mmap transport.
+10M+-edge graphs that working set dwarfs RAM even with the store-file transport.
 Sharding exploits the ensemble's own structure: members are independent
 until the vote merge, so they can be partitioned into ``K`` contiguous
 groups and each group run against a **shard store** that contains only the
@@ -27,17 +27,15 @@ Every plan kind reduces to a parent edge-id list, so every sampler shards
 like unsharded ones, and raise :class:`~repro.errors.SamplingError`
 otherwise.
 
-With ``mmap=True`` each shard store is spilled to a temporary store file
-and reopened as a lazy map before its members run, so the parent process
-holds at most one shard's columns resident at a time — the out-of-core
-configuration ``benchmarks/bench_scale.py`` measures.
+Each shard store is spilled to a temporary store file
+(:meth:`~repro.graph.GraphStore.export_shared`) and reopened as a lazy map
+before its members run, so the parent process holds at most one shard's
+columns resident at a time and process workers map the same file — the
+out-of-core configuration ``benchmarks/bench_scale.py`` measures.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,17 +119,15 @@ def run_sharded(
     engine: str | None = None,
     pool: ReusablePool | None = None,
     track_members: bool = True,
-    shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
     native_batch: bool | None = None,
-    mmap: bool = False,
 ) -> MemberRun:
     """Run every member through its shard store; results in global order.
 
     Shards execute sequentially (members inside a shard fan out across the
-    configured backend as usual), which is what bounds the parent's peak
-    RSS to roughly one shard's store in the ``mmap`` configuration. Each
+    configured backend as usual) from their spilled shard file, which is
+    what bounds the parent's peak RSS to roughly one shard's store. Each
     shard's :func:`~repro.ensemble.runner.run_members` call keeps the full
     fault-tolerance machinery — retries, backend degradation, transport
     fallback, typed failures — and its retry-log entries come back tagged
@@ -177,15 +173,16 @@ def run_sharded(
 
         shard = _shard_store(store, rows)
         del rows
-        spill_dir: str | None = None
+        spilled = None
         try:
-            if mmap:
-                # spill the shard and drop the resident copy before running:
-                # the parent keeps only lazy views of one shard at a time
-                spill_dir = tempfile.mkdtemp(prefix="repro_gs_shard_")
-                path = os.path.join(spill_dir, f"shard{shard_index}.store")
-                shard.save(path)
-                shard = GraphStore.open(path, mmap=True)
+            try:
+                spilled = shard.export_shared()
+            except OSError:  # spill volume full or unwritable: run resident
+                pass
+            else:
+                # drop the resident copy before running: the parent keeps
+                # only lazy views of one shard at a time
+                shard = GraphStore.open(spilled.layout.path)
             run = run_members(
                 shard,
                 shard_plans,
@@ -195,14 +192,13 @@ def run_sharded(
                 engine=engine,
                 pool=pool,
                 track_members=track_members,
-                shared_memory=shared_memory,
                 tolerance=tolerance,
                 window=None,  # liveness already folded into the shard rows
                 native_batch=native_batch,
             )
         finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
+            if spilled is not None:
+                spilled.dispose()
 
         # remap the shard-local results back to global member indices
         for local, detection in enumerate(run.detections):

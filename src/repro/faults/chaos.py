@@ -10,10 +10,10 @@ state recovery then has to come entirely from the crash-safe snapshot
 layer (atomic commit, rolling ``.bak``, consumed-row offsets).
 
 The invariant the chaos suite pins down with this harness: for any plan of
-worker kills, shared-memory attach failures, mid-write crashes and
+worker kills, store-file mapping failures, mid-write crashes and
 snapshot byte corruption, the final vote table is **bitwise identical** to
-the fault-free run's, and ``/dev/shm`` holds zero leaked ``repro_gs_*``
-segments afterwards.
+the fault-free run's, and the run leaves no ``repro_gs_*`` spill directory
+behind in :func:`tempfile.gettempdir`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,21 +35,18 @@ from .injection import ENV_VAR
 __all__ = [
     "ChaosRound",
     "ChaosReport",
-    "leaked_segments",
+    "leaked_spills",
     "run_chaos_cycle",
     "vote_fingerprint",
 ]
 
-#: prefix of the shared-memory segments the graph store creates
-_SEGMENT_PREFIX = "repro_gs_"
+#: prefix of the spill directories the graph store creates
+_SPILL_PREFIX = "repro_gs_"
 
 
-def leaked_segments() -> list[str]:
-    """Names of graph-store shared-memory segments currently in ``/dev/shm``."""
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - platform without POSIX shm
-        return []
-    return sorted(p.name for p in root.glob(f"{_SEGMENT_PREFIX}*"))
+def leaked_spills() -> list[str]:
+    """Names of graph-store spill directories currently in the temp dir."""
+    return sorted(p.name for p in Path(tempfile.gettempdir()).glob(f"{_SPILL_PREFIX}*"))
 
 
 def vote_fingerprint(state_path: str | os.PathLike[str]) -> str:
@@ -155,7 +153,7 @@ def run_chaos_cycle(
     fault, or any nonzero exit) is re-run fault-free — the operator
     restart — up to ``max_restarts`` times; recovery must come from the
     snapshot layer alone. Returns the final vote-table fingerprint plus
-    crash/restart counts and the post-run ``/dev/shm`` leak scan.
+    crash/restart counts and the post-run spill-directory leak scan.
 
     Run the same cycle with all-empty fault plans to obtain the reference
     fingerprint the chaos run must match bitwise.
@@ -202,7 +200,7 @@ def run_chaos_cycle(
         report.rounds += 1
 
     report.fingerprint = vote_fingerprint(state)
-    report.leaked = leaked_segments()
+    report.leaked = leaked_spills()
     return report
 
 

@@ -1,7 +1,7 @@
 """Process-wide fault-injection runtime.
 
 Production code declares *injection points* by calling :func:`fault_point`
-at interesting places (per-member detection, shared-memory attach,
+at interesting places (per-member detection, store-file mapping,
 snapshot-write stages). With no plan armed the call is a single module
 global ``None`` check — cheap enough to leave in every hot path, which is
 the whole point: chaos runs exercise the **unmodified** production code.
@@ -21,13 +21,11 @@ Registered injection points
     One member's enrolment into the batched native peel kernel (fires in
     the worker, before the batch runs). Context: ``index`` (global member
     index), ``attempt`` (retry round).
-``shm.attach``
-    Worker-side attach to the shared graph segment. Context: ``attempt``
-    when reached through the fan-out, plus ``segment``.
 ``mmap.open``
-    Worker-side open of an mmap-backed graph store file (the out-of-core
-    sibling of ``shm.attach``; a fired fault degrades that retry round to
-    the pickled transport). Context: ``path``.
+    Worker-side mapping of the parent's graph store file — the one
+    zero-copy transport. A fired fault fails the worker's chunk with kind
+    ``"transport"`` and the retry rounds ship the pickled store instead.
+    Context: ``path``.
 ``shard.merge``
     One shard's vote-tally accumulation during a sharded fit's merge. A
     fired fault abandons the shard-wise merge and falls back to the global

@@ -7,7 +7,7 @@ fault as the name::
     raise:point=member.detect,index=3        # member 3 raises once
     crash:point=member.detect,index=1        # SIGKILL the worker running it
     hang:point=member.detect,index=0,seconds=2.5
-    raise:point=shm.attach,at=1              # first segment attach fails
+    raise:point=mmap.open,at=1               # first store-file map fails
     crash:point=state.write,stage=tmp_written   # die mid-snapshot-write
     corrupt:point=state.write,stage=committed,offset=17  # flip a byte
 

@@ -1,28 +1,25 @@
-"""Frozen columnar graph store, exportable to POSIX shared memory or disk.
+"""Frozen columnar graph store, shipped to process workers as one mapped file.
 
 The ensemble fan-out needs the *parent* graph in every worker process, but
 pickling a :class:`~repro.graph.BipartiteGraph` per sampled subgraph is
 exactly the O(N·S·|E|) serialization wall the paper's "perfectly parallel"
 claim ignores. A :class:`GraphStore` is the flat-array alternative: the five
 columns of a graph (edge endpoints, optional weights, node labels) packed
-back to back in one buffer that can live in a
-:mod:`multiprocessing.shared_memory` segment **or a memory-mapped file**.
-Workers attach to the segment (or map the file) **once per process**, wrap
-the buffer zero-copy as read-only numpy views, and materialize each compact
-:class:`~repro.sampling.SamplePlan` locally — no graph bytes cross the
-process boundary.
+back to back in one flat **store file**. Workers map the file **once per
+process**, wrap it zero-copy as read-only numpy views, and materialize each
+compact :class:`~repro.sampling.SamplePlan` locally — no graph bytes cross
+the process boundary.
 
-Transports
-----------
-* **shared memory** — :meth:`GraphStore.export_shared` copies the columns
-  into one ``/dev/shm`` segment; fastest for graphs that fit in RAM.
-* **file / mmap** — :meth:`GraphStore.save` writes the same column layout
-  to a flat file (magic + JSON header + 8-byte-aligned columns) and
-  :meth:`GraphStore.open` maps it back lazily with :class:`numpy.memmap`,
-  so graphs larger than RAM never fully materialize: fancy indexing on a
-  mapped column touches only the pages it reads. Workers receive the same
-  picklable :class:`StoreLayout` either way — ``kind`` selects the branch
-  inside :func:`attached_store`.
+The store file
+--------------
+:meth:`GraphStore.save` writes the column layout to a flat file (magic +
+JSON header + 8-byte-aligned columns) and :meth:`GraphStore.open` maps it
+back lazily with :class:`numpy.memmap`, so graphs larger than RAM never
+fully materialize: fancy indexing on a mapped column touches only the
+pages it reads. A store opened from a file already carries its picklable
+:class:`StoreLayout`; a resident store is spilled to a temporary file by
+:meth:`GraphStore.export_shared`. Either way workers receive only the
+layout and map the file through :func:`attached_store`.
 
 Compact dtypes
 --------------
@@ -38,25 +35,28 @@ Lifecycle contract
 ------------------
 * the parent calls :meth:`GraphStore.export_shared` and owns the returned
   :class:`SharedGraphStore`; its :meth:`~SharedGraphStore.dispose` (or
-  ``with`` exit, or the ``weakref.finalize`` backstop) unlinks the segment,
+  ``with`` exit, or the ``weakref.finalize`` backstop) removes the spill
+  directory, a ``repro_gs_spill_*`` directory under
+  :func:`tempfile.gettempdir` (so ``TMPDIR`` picks the volume),
 * workers call :func:`attached_store` with the picklable
   :class:`StoreLayout`; attachments are cached per process and the previous
-  segment's mapping is dropped whenever a new segment arrives, so a
-  long-lived :class:`~repro.parallel.ReusablePool` worker holds at most one
-  stale mapping,
-* unlinking in the parent removes the segment name immediately (Linux
-  keeps live mappings valid), so no ``/dev/shm`` entry outlives the fit;
-  file-backed stores are plain files owned by whoever created them.
+  file's mapping is dropped whenever a new file arrives, so a long-lived
+  :class:`~repro.parallel.ReusablePool` worker holds at most one stale
+  mapping,
+* removing the spill directory in the parent deletes the file name
+  immediately (Linux keeps live mappings valid), so no spill outlives the
+  fit; store files opened with :meth:`GraphStore.open` are plain files
+  owned by whoever created them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import secrets
+import shutil
+import tempfile
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def _named_dtype(name: str, table: dict[str, np.dtype], field: str) -> np.dtype:
 
 @dataclass(frozen=True)
 class StoreLayout:
-    """Picklable descriptor of a shared graph segment or store file (~100 B).
+    """Picklable descriptor of one graph store file (~100 B).
 
     The five columns live at fixed, derivable offsets — ``edge_users``,
     ``edge_merchants`` (``id_dtype``), ``user_labels``, ``merchant_labels``
@@ -115,19 +115,17 @@ class StoreLayout:
     ``edge_alive`` (bool liveness mask), so windowed fits ship their
     liveness overlay through the same zero-copy buffer.
 
-    ``kind`` selects the transport: ``"shm"`` (``segment`` names a POSIX
-    shared-memory segment) or ``"file"`` (``segment`` is the store file's
-    path, mapped lazily worker-side). Every column offset is rounded up to
-    8 bytes so mixed-width layouts stay aligned for mmap views.
+    ``path`` is the store file's absolute path, mapped lazily worker-side.
+    Every column offset is rounded up to 8 bytes so mixed-width layouts
+    stay aligned for mmap views.
     """
 
-    segment: str
+    path: str
     n_users: int
     n_merchants: int
     n_edges: int
     weighted: bool
     windowed: bool = False
-    kind: str = "shm"
     id_dtype: str = "int64"
     label_dtype: str = "int64"
     eid_dtype: str = "int64"
@@ -174,11 +172,9 @@ class StoreLayout:
         declaring more would make the endpoint columns wrap on write, so
         it raises :class:`~repro.errors.GraphError` instead (the explicit
         overflow guard of the compact-dtype contract). Also validates the
-        transport kind and dtype names, so a corrupted file header fails
-        loudly here rather than as a garbage mapping.
+        dtype names, so a corrupted file header fails loudly here rather
+        than as a garbage mapping.
         """
-        if self.kind not in ("shm", "file"):
-            raise GraphError(f"unknown store transport kind {self.kind!r}")
         if min(self.n_users, self.n_merchants, self.n_edges) < 0:
             raise GraphError("store layout sizes must be non-negative")
         _named_dtype(self.id_dtype, _INT_DTYPES, "id_dtype")
@@ -193,7 +189,7 @@ class StoreLayout:
             )
 
     def as_header(self) -> dict:
-        """JSON-able file-header form (``segment``/``kind`` are implicit)."""
+        """JSON-able file-header form (``path`` is implicit)."""
         return {
             "n_users": self.n_users,
             "n_merchants": self.n_merchants,
@@ -249,9 +245,8 @@ def _int_dtype_name(*arrays: np.ndarray) -> str:
 class GraphStore:
     """The frozen columnar form of one bipartite graph.
 
-    Wraps the parent graph's arrays **zero-copy** (:meth:`from_graph`), a
-    shared segment's buffer (:meth:`attach`) or a mapped store file
-    (:meth:`open`); :meth:`to_graph` goes back to a :class:`BipartiteGraph`
+    Wraps the parent graph's arrays **zero-copy** (:meth:`from_graph`) or a
+    mapped store file (:meth:`open`); :meth:`to_graph` goes back to a :class:`BipartiteGraph`
     through the trusted constructor, again without copying, so a store
     round-trip costs O(1). ``layout`` is set only on file-backed stores
     (the descriptor workers re-map the same file from).
@@ -328,7 +323,7 @@ class GraphStore:
         """A :class:`BipartiteGraph` view over the stored columns.
 
         Uses the trusted constructor — the columns came from an already
-        validated graph (or a segment/file exported from one), so the
+        validated graph (or a store file saved from one), so the
         O(|E|) bounds scan is skipped. Compact int32/float32 columns ride
         through as-is; every compute path upcasts at its gather points.
         """
@@ -395,16 +390,15 @@ class GraphStore:
             edge_alive=self.edge_alive,
         )
 
-    def _layout_for(self, segment: str, kind: str) -> StoreLayout:
+    def _layout_for(self, path: str) -> StoreLayout:
         """The layout describing this store's actual column dtypes."""
         return StoreLayout(
-            segment=segment,
+            path=path,
             n_users=self.n_users,
             n_merchants=self.n_merchants,
             n_edges=self.n_edges,
             weighted=self.edge_weights is not None,
             windowed=self.edge_alive is not None and self.edge_ids is not None,
-            kind=kind,
             id_dtype=_int_dtype_name(self.edge_users, self.edge_merchants),
             label_dtype=_int_dtype_name(self.user_labels, self.merchant_labels),
             eid_dtype="int64" if self.edge_ids is None else _int_dtype_name(self.edge_ids),
@@ -416,90 +410,43 @@ class GraphStore:
         )
 
     # ------------------------------------------------------------------
-    # shared-memory export / attach
+    # file export / mmap open
     # ------------------------------------------------------------------
 
     def export_shared(self) -> "SharedGraphStore":
-        """Copy the columns into one fresh shared-memory segment.
+        """Spill the compacted store to a fresh temporary store file.
 
-        The returned handle owns the segment; dispose it (explicitly or via
-        ``with``) once the fan-out that uses it has completed. A compacted
-        store exports compact columns — half the segment bytes.
+        The file lives in its own ``repro_gs_spill_*`` directory from
+        :func:`tempfile.mkdtemp` (so ``TMPDIR`` picks the volume). The
+        returned handle owns that directory; dispose it (explicitly or via
+        ``with``) once the fan-out that maps the file has completed.
+        Raises :class:`OSError` when the spill volume refuses the write.
         """
-        layout = self._layout_for(
-            f"repro_gs_{os.getpid():x}_{secrets.token_hex(6)}", "shm"
-        )
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, layout.nbytes), name=layout.segment
-        )
+        directory = tempfile.mkdtemp(prefix="repro_gs_spill_")
         try:
-            for name, offset, dtype, length in layout.slots():
-                view = np.ndarray(length, dtype=dtype, buffer=shm.buf, offset=offset)
-                view[:] = getattr(self, name)
+            layout = self.save(os.path.join(directory, "graph.store"))
         except BaseException:
-            shm.close()
-            shm.unlink()
+            shutil.rmtree(directory, ignore_errors=True)
             raise
-        return SharedGraphStore(layout, shm)
-
-    @classmethod
-    def attach(
-        cls, layout: StoreLayout
-    ) -> tuple["GraphStore", shared_memory.SharedMemory]:
-        """Worker-side attach: read-only views over an existing segment.
-
-        Returns the store plus the mapping that must be kept alive (and
-        eventually closed) alongside it. Prefer :func:`attached_store`,
-        which caches per process and also handles file-backed layouts.
-        """
-        try:
-            shm = _attach_untracked(layout.segment)
-        except FileNotFoundError as exc:
-            raise GraphError(
-                f"shared graph segment {layout.segment!r} does not exist "
-                "(already disposed by the parent?)"
-            ) from exc
-        columns: dict[str, np.ndarray] = {}
-        for name, offset, dtype, length in layout.slots():
-            view = np.ndarray(length, dtype=dtype, buffer=shm.buf, offset=offset)
-            view.flags.writeable = False
-            columns[name] = view
-        return (
-            cls(
-                n_users=layout.n_users,
-                n_merchants=layout.n_merchants,
-                edge_users=columns["edge_users"],
-                edge_merchants=columns["edge_merchants"],
-                edge_weights=columns.get("edge_weights"),
-                user_labels=columns["user_labels"],
-                merchant_labels=columns["merchant_labels"],
-                edge_ids=columns.get("edge_ids"),
-                edge_alive=columns.get("edge_alive"),
-            ),
-            shm,
-        )
-
-    # ------------------------------------------------------------------
-    # file export / mmap open
-    # ------------------------------------------------------------------
+        return SharedGraphStore(layout, directory)
 
     def save(self, path: str | os.PathLike[str], compact: bool = True) -> StoreLayout:
         """Write the store to one flat, mmap-able file.
 
-        The on-disk layout mirrors the shared-memory one: the same columns
-        at the same derivable offsets, preceded by a fixed 4 KiB header
+        The columns sit at the derivable offsets of
+        :meth:`StoreLayout.slots`, preceded by a fixed 4 KiB header
         (magic + JSON :meth:`StoreLayout.as_header`). ``compact=True``
         (the default) narrows storage dtypes losslessly first — int32 ids
         and labels when they fit, float32 weights when bit-exact.
 
-        Returns the ``kind="file"`` :class:`StoreLayout` — the picklable
+        Returns the file's :class:`StoreLayout` — the picklable
         descriptor :func:`attached_store` maps the file back from, which
         is what :func:`~repro.ensemble.runner.detect_on_plans` ships to
         workers instead of copying columns.
         """
         store = self.compact() if compact else self
         path = os.path.abspath(os.fspath(path))
-        layout = store._layout_for(path, "file")
+        layout = store._layout_for(path)
         layout.validate()
         header = json.dumps({"format": 1, **layout.as_header()}, sort_keys=True).encode("utf-8")
         if len(header) > _DATA_OFFSET - len(_MAGIC) - 8:  # pragma: no cover - fixed keys
@@ -536,7 +483,7 @@ class GraphStore:
         buffer = None
         if mmap and layout.nbytes:
             buffer = np.memmap(
-                layout.segment,
+                layout.path,
                 dtype=np.uint8,
                 mode="r",
                 offset=_DATA_OFFSET,
@@ -545,7 +492,7 @@ class GraphStore:
         handle = None
         try:
             if not mmap:
-                handle = open(layout.segment, "rb")
+                handle = open(layout.path, "rb")
             for name, offset, dtype, length in layout.slots():
                 if not length:
                     columns[name] = np.empty(0, dtype=dtype)
@@ -556,7 +503,7 @@ class GraphStore:
                     column = np.fromfile(handle, dtype=dtype, count=length)
                     if column.shape[0] != length:
                         raise GraphError(
-                            f"{layout.segment}: graph store file truncated in column {name!r}"
+                            f"{layout.path}: graph store file truncated in column {name!r}"
                         )
                     column.flags.writeable = False
                     columns[name] = column
@@ -606,13 +553,12 @@ def read_file_layout(path: str | os.PathLike[str]) -> StoreLayout:
         raise GraphError(f"{path!r}: corrupt graph store file header ({exc})") from exc
     try:
         layout = StoreLayout(
-            segment=path,
+            path=path,
             n_users=int(header["n_users"]),
             n_merchants=int(header["n_merchants"]),
             n_edges=int(header["n_edges"]),
             weighted=bool(header["weighted"]),
             windowed=bool(header.get("windowed", False)),
-            kind="file",
             id_dtype=str(header.get("id_dtype", "int64")),
             label_dtype=str(header.get("label_dtype", "int64")),
             eid_dtype=str(header.get("eid_dtype", "int64")),
@@ -662,13 +608,12 @@ class StoreFileWriter:
             id_dtype = "int32" if max(n_users, n_merchants) <= INT32_MAX + 1 else "int64"
         path = os.path.abspath(os.fspath(path))
         self._layout = StoreLayout(
-            segment=path,
+            path=path,
             n_users=int(n_users),
             n_merchants=int(n_merchants),
             n_edges=int(n_edges),
             weighted=bool(weighted),
             windowed=False,
-            kind="file",
             id_dtype=id_dtype,
             label_dtype=id_dtype,
             eid_dtype="int64",
@@ -811,7 +756,7 @@ class StoreFileWriter:
             self._closed = True
             self._handle.close()
             try:
-                os.unlink(self._layout.segment)
+                os.unlink(self._layout.path)
             except OSError:
                 pass
 
@@ -825,52 +770,27 @@ class StoreFileWriter:
             self.abort()
 
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment without registering with the resource tracker.
-
-    Only the creator (parent) process owns the segment's lifetime. Until
-    Python 3.13's ``track=False``, attaching also registers the name with
-    the shared resource-tracker daemon — whose per-type cache is a *set*,
-    so the duplicate entry collapses with the parent's and the eventual
-    double-unregister raises inside the tracker. Suppressing registration
-    for the attach call sidesteps both that and the bogus
-    "leaked shared_memory" warnings at worker exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-    except ImportError:  # pragma: no cover - exotic platform
-        return shared_memory.SharedMemory(name=name)
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
 class SharedGraphStore:
-    """Parent-side handle of one exported segment (owns its lifetime).
+    """Parent-side handle of one spilled store file (owns its directory).
 
-    ``dispose()`` closes the mapping and unlinks the name; it is idempotent
-    and also wired as a ``weakref.finalize`` backstop, so dropping the last
-    reference can never leak a ``/dev/shm`` entry.
+    ``dispose()`` removes the spill directory; it is idempotent and also
+    wired as a ``weakref.finalize`` backstop, so dropping the last
+    reference can never leak a spill.
     """
 
-    def __init__(self, layout: StoreLayout, shm: shared_memory.SharedMemory) -> None:
+    def __init__(self, layout: StoreLayout, directory: str) -> None:
         self.layout = layout
-        self._shm: shared_memory.SharedMemory | None = shm
-        self._finalizer = weakref.finalize(self, _dispose_segment, shm)
+        self.directory = directory
+        self._finalizer = weakref.finalize(self, shutil.rmtree, directory, ignore_errors=True)
 
     @property
     def disposed(self) -> bool:
-        """``True`` once the segment has been unlinked."""
-        return self._shm is None
+        """``True`` once the spill directory has been removed."""
+        return not self._finalizer.alive
 
     def dispose(self) -> None:
-        """Close the parent's mapping and unlink the segment (idempotent)."""
-        if self._shm is not None:
-            self._shm = None
-            self._finalizer()
+        """Remove the spill directory (idempotent)."""
+        self._finalizer()
 
     def __enter__(self) -> "SharedGraphStore":
         return self
@@ -880,65 +800,37 @@ class SharedGraphStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "disposed" if self.disposed else f"{self.layout.nbytes} bytes"
-        return f"SharedGraphStore({self.layout.segment}, {state})"
-
-
-def _dispose_segment(shm: shared_memory.SharedMemory) -> None:
-    # unlink before close: removing the name can never fail on live views,
-    # whereas mmap.close() raises BufferError while numpy views are exported
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - a view outlived the handle
-        pass
+        return f"SharedGraphStore({self.layout.path}, {state})"
 
 
 # ------------------------------------------------------------------
-# worker-side attachment cache (one live segment/file per process)
+# worker-side attachment cache (one live store file per process)
 # ------------------------------------------------------------------
 
-_ATTACHED: dict[str, tuple[GraphStore, shared_memory.SharedMemory | None]] = {}
+_ATTACHED: dict[str, GraphStore] = {}
 
 
 def attached_store(layout: StoreLayout) -> GraphStore:
-    """The process-local :class:`GraphStore` for ``layout``, attached once.
+    """The process-local :class:`GraphStore` for ``layout``, mapped once.
 
-    The first call in a worker maps the segment (``kind="shm"``) or the
-    store file (``kind="file"``, lazily via :class:`numpy.memmap`);
-    subsequent calls for the same source (later chunks of the same fit,
-    later fits on the same store) are dictionary hits. Attaching a
-    *different* source drops the previous mapping first — fits are
-    sequential, so a worker never needs two parents at once and stale
-    mappings would otherwise accumulate in a long-lived pool.
+    The first call in a worker maps the store file lazily via
+    :class:`numpy.memmap`; subsequent calls for the same file (later
+    chunks of the same fit, later fits on the same store) are dictionary
+    hits. Mapping a *different* file drops the previous mapping first —
+    fits are sequential, so a worker never needs two parents at once and
+    stale mappings would otherwise accumulate in a long-lived pool.
     """
-    cached = _ATTACHED.get(layout.segment)
-    if cached is not None:
-        return cached[0]
-    if layout.kind == "file":
-        fault_point("mmap.open", path=layout.segment)
+    store = _ATTACHED.get(layout.path)
+    if store is None:
+        fault_point("mmap.open", path=layout.path)
         detach_all()
-        store = GraphStore._from_file(read_file_layout(layout.segment), mmap=True)
-        _ATTACHED[layout.segment] = (store, None)
-        return store
-    fault_point("shm.attach", segment=layout.segment)
-    detach_all()
-    store, shm = GraphStore.attach(layout)
-    _ATTACHED[layout.segment] = (store, shm)
+        store = _ATTACHED[layout.path] = GraphStore.open(layout.path)
     return store
 
 
 def detach_all() -> None:
-    """Close every cached attachment (worker shutdown / test hygiene)."""
-    while _ATTACHED:
-        _, entry = _ATTACHED.popitem()
-        shm = entry[1]
-        del entry  # drop the store (and its buffer views) before closing
-        if shm is None:
-            continue  # file mapping: released when the views are collected
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a materialized view lingers
-            pass
+    """Drop every cached mapping (worker shutdown / test hygiene).
+
+    A mapping is released once the last view of its columns is collected.
+    """
+    _ATTACHED.clear()

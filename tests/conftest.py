@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import FraudBlockSpec, inject_fraud_blocks, toy_dataset, uniform_bipartite
+from repro.faults import arm, disarm
 from repro.fdet import _native
 from repro.graph import BipartiteGraph
 
@@ -21,6 +22,25 @@ def no_native(monkeypatch):
     _native._reset_for_tests()
     yield
     _native._reset_for_tests()
+
+
+@pytest.fixture
+def force_transport():
+    """Route later process fan-outs onto one worker transport.
+
+    ``force_transport("pickle")`` makes every worker-side store-file map
+    fail — the production route to the pickled store, which the retry
+    round then ships (configure ``FaultTolerance(degrade=False)`` so that
+    round stays on the process backend). Any other transport name leaves
+    the default store file in place.
+    """
+
+    def force(transport: str) -> None:
+        if transport == "pickle":
+            arm("raise:point=mmap.open,times=-1")
+
+    yield force
+    disarm()
 
 
 @pytest.fixture

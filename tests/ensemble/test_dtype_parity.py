@@ -1,6 +1,6 @@
 """Compact dtypes are storage-only: vote tables must be bitwise identical
 whether the graph travels as int64/float64 or int32/float32, over every
-transport (resident, shared memory, mmap file, pickled) and backend."""
+transport (resident, mapped store file, pickled) and backend."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.datasets import chung_lu_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.fdet import FdetConfig
 from repro.graph import GraphStore
+from repro.parallel import FaultTolerance
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -81,26 +82,20 @@ def test_backends_agree_on_compact_store(graph, executor, tmp_path):
     assert _tables(result) == reference
 
 
-@pytest.mark.parametrize(
-    "transport_kwargs",
-    [
-        {"shared_memory": True},  # shm segment
-        {"shared_memory": True, "mmap": True},  # mmap spill
-        {"shared_memory": False},  # pickled store
-    ],
-    ids=["shm", "mmap", "pickle"],
-)
-def test_process_transports_agree(graph, transport_kwargs):
+@pytest.mark.parametrize("transport", ["spill", "pickle"])
+def test_process_transports_agree(graph, transport, force_transport):
     sampler = RandomEdgeSampler(0.35)
     reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
+    force_transport(transport)
     result = EnsemFDet(
         _config(
             RandomEdgeSampler(0.35),
             executor="process",
             n_workers=2,
-            **transport_kwargs,
+            tolerance=FaultTolerance(degrade=False),
         )
     ).fit(graph)
+    assert result.retry_log[-1]["transport"] == transport
     assert _tables(result) == reference
 
 

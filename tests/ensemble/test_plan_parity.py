@@ -1,4 +1,4 @@
-"""Bitwise parity of the plan/shared-memory fan-out vs the eager pipeline.
+"""Bitwise parity of the plan/store-file fan-out vs the eager pipeline.
 
 The zero-copy refactor's contract: for every sampler and every executor
 backend, ``EnsemFDet.fit`` driven by ``plan_many`` + worker-side
@@ -11,9 +11,7 @@ in shards, and must equal ``materialize_plan`` + the reference engine.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -28,10 +26,13 @@ from repro.ensemble import (
 )
 from repro.ensemble.sharding import run_sharded
 from repro.ensemble.voting import VoteTable
+from repro.errors import GraphError
+from repro.faults import arm, disarm
+from repro.faults.chaos import leaked_spills
 from repro.fdet import Fdet, FdetConfig, PeelEngine, batched
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph, GraphStore, attached_store, detach_all
-from repro.parallel import ExecutorMode, ReusablePool
+from repro.parallel import ExecutorMode, FaultTolerance, ReusablePool
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -106,12 +107,6 @@ def eager_reference_fit(parent, config):
     return table, detections
 
 
-def leaked_segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith("repro_gs_")]
-
-
 class TestPlanMaterializeParity:
     """``materialize(plan(...))`` reproduces the eager sample bit for bit."""
 
@@ -141,8 +136,8 @@ class TestPlanMaterializeParity:
         if subgraph_bytes:
             assert plan.nbytes < subgraph_bytes
 
-    def test_plan_materializes_against_shm_view(self, parent):
-        """Materializing against a read-only shared view is still bitwise."""
+    def test_plan_materializes_against_mapped_view(self, parent):
+        """Materializing against a read-only mapped view is still bitwise."""
         sampler = RandomEdgeSampler(0.35)
         plans = sampler.plan_many(parent, 3, rng=2)
         eager = sampler.sample_many(parent, 3, rng=2)
@@ -155,7 +150,7 @@ class TestPlanMaterializeParity:
         finally:
             detach_all()
             shared.dispose()
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
 
 class TestFitParity:
@@ -179,22 +174,28 @@ class TestFitParity:
         assert_detections_bitwise_equal(
             list(result.sample_detections), reference_detections
         )
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
-    def test_shm_and_pickled_store_agree(self, parent):
+    def test_spilled_and_pickled_store_agree(self, parent):
         config = FdetConfig(max_blocks=4)
         sampler = RandomEdgeSampler(0.35)
         plans = sampler.plan_many(parent, 6, rng=4)
-        with_shm = detect_on_plans(
-            parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2,
-            shared_memory=True,
-        )
-        without_shm = detect_on_plans(
-            parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2,
-            shared_memory=False,
-        )
-        assert_detections_bitwise_equal(with_shm, without_shm)
-        assert leaked_segments() == []
+        spilled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
+        # every worker fails to map the spill: the retry ships the pickled store
+        arm("raise:point=mmap.open,times=-1")
+        try:
+            pickled = run_members(
+                parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2,
+                tolerance=FaultTolerance(max_retries=1, degrade=False),
+            )
+        finally:
+            disarm()
+        assert [entry["transport"] for entry in spilled.retry_log] == ["spill"]
+        assert [entry["transport"] for entry in pickled.retry_log] == ["spill", "pickle"]
+        assert pickled.retry_log[1]["members"] == list(range(6))
+        assert not pickled.failures
+        assert_detections_bitwise_equal(spilled.detections, pickled.detections)
+        assert leaked_spills() == []
 
     def test_fit_on_reusable_pool_matches(self, parent):
         config = EnsemFDetConfig(
@@ -210,7 +211,7 @@ class TestFitParity:
             second = EnsemFDet(config, pool=pool).fit(parent)
         assert first.vote_table.user_votes == reference_table.user_votes
         assert second.vote_table.user_votes == reference_table.user_votes
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
     def test_track_appearances_parity_across_backends(self, parent):
         tables = []
@@ -246,13 +247,12 @@ class TestTrustedViews:
             detach_all()
             shared.dispose()
 
-    def test_segment_gone_after_dispose(self, parent):
+    def test_spill_gone_after_dispose(self, parent):
         shared = GraphStore.from_graph(parent).export_shared()
-        name = shared.layout.segment
         shared.dispose()
         shared.dispose()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        with pytest.raises(GraphError, match="does not exist"):
+            attached_store(shared.layout)
 
 
 NODE_SAMPLERS = ("ons_user", "ons_merchant", "tns")
@@ -318,7 +318,7 @@ class TestNodePlanKernelParity:
             # parent node indices come only from the batched kernel
             has_indices = detection.detected_user_indices is not None
             assert has_indices == native_available()
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
     @pytest.mark.parametrize("name", NODE_SAMPLERS)
     def test_sharded_matches_unsharded(self, parent, name):

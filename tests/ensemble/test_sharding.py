@@ -12,6 +12,7 @@ from repro.ensemble import EnsemFDet, EnsemFDetConfig, plan_shards
 from repro.ensemble.sharding import merge_shard_votes, run_sharded
 from repro.errors import DetectionError, QuorumError, SamplingError
 from repro.faults import arm, disarm
+from repro.faults.chaos import leaked_spills
 from repro.fdet import FdetConfig
 from repro.graph import LiveWindow
 from repro.graph.window import EdgeWindow
@@ -77,12 +78,14 @@ class TestShardedParity:
         sharded = EnsemFDet(_config(make(), shards=shards)).fit(graph)
         assert _tables(sharded) == reference
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_matches_unsharded_out_of_core(self, graph, mmap):
+    def test_matches_unsharded_out_of_core(self, graph):
         make = lambda: StableEdgeSampler(0.35, stripe=64)
         reference = _tables(EnsemFDet(_config(make())).fit(graph))
-        sharded = EnsemFDet(_config(make(), shards=3, mmap=mmap)).fit(graph)
+        sharded = EnsemFDet(_config(make(), shards=3, executor="process", n_workers=2)).fit(graph)
         assert _tables(sharded) == reference
+        # every shard went out as its own spilled store file
+        assert [entry["transport"] for entry in sharded.retry_log] == ["file"] * 3
+        assert leaked_spills() == []
 
     def test_windowed_parity(self, graph):
         alive = np.ones(graph.n_edges, dtype=bool)

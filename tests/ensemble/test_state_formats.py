@@ -18,7 +18,9 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.datasets import uniform_bipartite
 from repro.ensemble import (
+    EnsemFDetConfig,
     IncrementalEnsemFDet,
     load_detection_state,
     load_detection_state_with_recovery,
@@ -27,6 +29,8 @@ from repro.ensemble import (
 )
 from repro.ensemble.results import STATE_FORMAT_VERSION, _LEGACY_FORMAT_VERSIONS
 from repro.errors import StateError
+from repro.fdet import FdetConfig
+from repro.sampling import StableEdgeSampler
 
 FIXTURES = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "fixtures", "state_v*.npz"))
@@ -163,3 +167,38 @@ def test_legacy_fixture_vote_table_is_unchanged(fixture, tmp_path):
     detector.save(tmp_path / "v4.npz")
     reloaded = IncrementalEnsemFDet.load(tmp_path / "v4.npz")
     assert _vote_digest(reloaded.vote_table) == _vote_digest(detector.vote_table)
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [{"shared_memory": False}, {"shared_memory": True, "mmap": True, "shards": 1}],
+    ids=["shared_memory_false", "mmap_true_one_shard"],
+)
+def test_retired_transport_keys_load_and_rebuild(retired, tmp_path):
+    """States saved while the ``shared_memory`` / ``mmap`` knobs existed
+    still load, round-trip and rebuild the same live detector."""
+    detector = IncrementalEnsemFDet(
+        EnsemFDetConfig(
+            sampler=StableEdgeSampler(0.3, stripe=32),
+            n_samples=6,
+            fdet=FdetConfig(max_blocks=4),
+            seed=5,
+        )
+    )
+    detector.fit(uniform_bipartite(80, 40, 500, rng=1))
+    state = detector.state()
+    assert not {"shared_memory", "mmap"} & set(state.config["ensemble"])
+    config = json.loads(json.dumps(state.config))
+    config["ensemble"].update(retired)
+    state.config = config
+    save_detection_state(state, tmp_path / "legacy.npz")
+
+    loaded = load_detection_state(tmp_path / "legacy.npz")
+    assert loaded.config == config  # stored keys survive as written
+    save_detection_state(loaded, tmp_path / "again.npz")
+    _assert_states_identical(loaded, load_detection_state(tmp_path / "again.npz"))
+
+    rebuilt = IncrementalEnsemFDet.from_state(loaded)
+    assert _vote_digest(rebuilt.vote_table) == _vote_digest(detector.vote_table)
+    # a re-save through the rebuilt detector drops the retired keys again
+    assert rebuilt.state().config == detector.state().config

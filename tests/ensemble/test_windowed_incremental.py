@@ -2,8 +2,8 @@
 
 The windowed :class:`IncrementalEnsemFDet` must stay bit-identical to a
 cold :meth:`EnsemFDet.fit_window` on the live window after any mix of
-appends, deletion deltas and expiry — across every executor backend, with
-and without the shared-memory fan-out, and for both sampler families
+appends, deletion deltas and expiry — across every executor backend, over
+the store-file and the pickled-store transport, and for both sampler families
 (stripe-hash, which is id-keyed, and the rest, which fit the live graph).
 Also covers the windowed DetectionState v3 save/load round trip.
 """
@@ -23,6 +23,7 @@ from repro.ensemble import (
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
 from repro.graph import WindowConfig
+from repro.parallel import FaultTolerance
 from repro.sampling import RandomEdgeSampler, StableEdgeSampler
 
 
@@ -75,16 +76,17 @@ def assert_matches_cold_window_fit(detector, config):
 
 class TestWindowedParityMatrix:
     @pytest.mark.parametrize(
-        "executor,shared_memory",
+        "executor,transport",
         [
-            ("serial", False),
-            ("thread", False),
-            ("process", True),
-            ("process", False),
+            ("serial", "local"),
+            ("thread", "local"),
+            ("process", "spill"),
+            ("process", "pickle"),
         ],
     )
-    def test_update_matches_cold_window_fit(self, graph, executor, shared_memory):
-        config = make_config(executor=executor, shared_memory=shared_memory)
+    def test_update_matches_cold_window_fit(self, graph, executor, transport, force_transport):
+        config = make_config(executor=executor, tolerance=FaultTolerance(degrade=False))
+        force_transport(transport)
         detector = IncrementalEnsemFDet(config, window=WindowConfig(max_batches=3))
         detector.fit(graph, timestamp=0.0)
         _stream(detector, graph)

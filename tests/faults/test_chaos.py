@@ -1,10 +1,10 @@
 """End-to-end chaos: kills, attach failures and torn writes must converge.
 
 The headline invariant of the fault-tolerance layer: a watch lifecycle
-driven through worker crashes, shared-memory attach failures, a mid-write
+driven through worker crashes, store-file mapping failures, a mid-write
 SIGKILL and snapshot corruption ends with a vote table **bitwise
-identical** to the fault-free run's, and zero leaked ``/dev/shm``
-segments. Rounds run the real CLI in subprocesses (the only honest way to
+identical** to the fault-free run's, and zero leaked ``repro_gs_*`` spill
+directories. Rounds run the real CLI in subprocesses (the only honest way to
 exercise SIGKILL faults); crashed rounds are re-run fault-free, emulating
 an operator restart.
 """
@@ -17,7 +17,7 @@ from repro.datasets import uniform_bipartite
 from repro.faults.chaos import (
     ChaosRound,
     delta_batches,
-    leaked_segments,
+    leaked_spills,
     run_chaos_cycle,
     vote_fingerprint,
 )
@@ -60,7 +60,7 @@ def test_chaos_cycle_converges_bitwise(tmp_path, graph, batches):
     noisy = [
         "",  # clean cold fit: the state both cycles start from is identical
         "crash:point=member.detect,index=2",  # worker (or in-parent CLI) dies
-        "raise:point=shm.attach",  # segment transport fails, store fallback
+        "raise:point=mmap.open",  # store-file transport fails, pickled fallback
         "crash:point=state.write,stage=backup_done",  # SIGKILL mid-commit
         "corrupt:point=state.write,stage=committed,offset=485",  # torn bytes
     ]
@@ -114,6 +114,6 @@ def test_delta_batches_are_deterministic():
     )
 
 
-def test_no_segments_leaked_right_now():
-    # module-level hygiene: nothing earlier in the suite left /dev/shm dirty
-    assert leaked_segments() == []
+def test_no_spills_leaked_right_now():
+    # module-level hygiene: nothing earlier in the suite left a spill behind
+    assert leaked_spills() == []

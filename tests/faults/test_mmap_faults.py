@@ -1,5 +1,5 @@
-"""The out-of-core transport degrades like shared memory: an injected
-``mmap.open`` failure falls back to the pickled store, bitwise-identically."""
+"""The store-file transport degrades to the pickled store: an injected
+``mmap.open`` failure on a file-backed parent falls back bitwise-identically."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import pytest
 from repro.datasets import uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.faults import arm, disarm
-from repro.faults.chaos import leaked_segments
+from repro.faults.chaos import leaked_spills
 from repro.fdet import FdetConfig
+from repro.graph import GraphStore
 from repro.parallel import FaultTolerance, ReusablePool
 from repro.sampling import RandomEdgeSampler
 
@@ -26,7 +27,7 @@ def graph():
     return uniform_bipartite(60, 30, 300, rng=0)
 
 
-def _config(executor="serial", n_workers=None, mmap=False, **tolerance_kwargs):
+def _config(executor="serial", n_workers=None, **tolerance_kwargs):
     return EnsemFDetConfig(
         sampler=RandomEdgeSampler(0.4),
         n_samples=6,
@@ -34,7 +35,6 @@ def _config(executor="serial", n_workers=None, mmap=False, **tolerance_kwargs):
         executor=executor,
         n_workers=n_workers,
         seed=3,
-        mmap=mmap,
         tolerance=FaultTolerance(**tolerance_kwargs),
     )
 
@@ -47,19 +47,21 @@ def _tables_equal(a, b) -> bool:
     )
 
 
-def test_mmap_open_failure_falls_back_to_pickled_store(graph):
+def test_mmap_open_failure_on_file_backed_parent(graph, tmp_path):
     reference = EnsemFDet(_config()).fit(graph)
+    path = tmp_path / "g.store"
+    GraphStore.from_graph(graph).save(path)
+    opened = GraphStore.open(path)
     arm("raise:point=mmap.open")
     with ReusablePool(mode="process", n_workers=2) as pool:
         result = EnsemFDet(
-            _config(executor="process", n_workers=2, mmap=True, degrade=False),
-            pool=pool,
-        ).fit(graph)
+            _config(executor="process", n_workers=2, degrade=False), pool=pool
+        ).fit(opened)
     assert not result.failed_members
     assert _tables_equal(result.vote_table, reference.vote_table)
-    # first attempt went out over the spilled store file…
-    assert result.retry_log[0]["transport"] == "mmap"
-    assert "shm" in result.retry_log[0]["kinds"].values()
-    # …and the retry abandoned both zero-copy transports
+    # first attempt shipped the opened file's own layout, no spill…
+    assert result.retry_log[0]["transport"] == "file"
+    assert "transport" in result.retry_log[0]["kinds"].values()
+    # …and the retry abandoned the store file for the pickled store
     assert result.retry_log[1]["transport"] == "pickle"
-    assert leaked_segments() == []
+    assert leaked_spills() == []

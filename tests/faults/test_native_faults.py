@@ -4,8 +4,8 @@ The point fires per member inside the worker, right before the member is
 enrolled into the multi-member kernel call — so an injected failure takes
 down exactly that member, the retry machinery recovers it bitwise, and a
 worker *crash* during a batched round moves the remaining retries off the
-kernel onto the reference engine (the way shm failures degrade the shared
-segment).
+kernel onto the reference engine (the way transport failures switch to
+the pickled store).
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class TestSpecGrammar:
         assert spec.matches("member.detect", {"index": 2, "attempt": 0})
         assert not spec.matches("member.detect", {"index": 1, "attempt": 0})
         assert not spec.matches("member.detect", {"index": 2, "attempt": 1})
-        assert not spec.matches("shm.attach", {"index": 2})
+        assert not spec.matches("mmap.open", {"index": 2})
         every = FaultSpec.parse("raise:point=member.detect,index=2,attempt=-1")
         assert every.matches("member.detect", {"index": 2, "attempt": 4})
 

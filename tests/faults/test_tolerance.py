@@ -7,7 +7,7 @@ import pytest
 from repro.datasets import uniform_bipartite
 from repro.errors import InjectedFault, QuorumError, WorkerCrashError
 from repro.faults import arm, disarm
-from repro.faults.chaos import leaked_segments
+from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
 from repro.fdet import FdetConfig
 from repro.parallel import FaultTolerance, ReusablePool
@@ -168,17 +168,17 @@ class TestQuorumDegradation:
 class TestProcessBackendFaults:
     def test_worker_crash_recovers_bitwise_identical(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
-        before = leaked_segments()
+        before = leaked_spills()
         arm("crash:point=member.detect,index=1")
         result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         kinds = result.retry_log[0]["kinds"].values()
         assert "crash" in kinds
-        assert leaked_segments() == before
+        assert leaked_spills() == before
 
     def test_strict_worker_crash_raises_typed_error_and_leaks_nothing(self, graph):
-        before = leaked_segments()
+        before = leaked_spills()
         arm("crash:point=member.detect,index=0")
         rng = resolve_rng(3)
         config = _config(executor="process", n_workers=2)
@@ -193,7 +193,7 @@ class TestProcessBackendFaults:
                 tolerance=FaultTolerance.strict(),
             )
         assert excinfo.value.member_indices  # failed members identified
-        assert leaked_segments() == before
+        assert leaked_spills() == before
 
     def test_hung_member_times_out_then_recovers(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
@@ -213,19 +213,24 @@ class TestProcessBackendFaults:
         assert result.vote_table.n_samples == 2
         assert reference is not None
 
-    def test_shm_attach_failure_falls_back_to_pickled_store(self, graph):
-        # a warm ReusablePool attaches at chunk time (no initializer), so
-        # the injected attach failure surfaces as kind "shm", not a broken
-        # pool — and the next attempt must switch to the pickled store
+    @pytest.mark.parametrize("pooled", [True, False], ids=["reusable_pool", "one_shot_pool"])
+    def test_mmap_open_failure_falls_back_to_pickled_store(self, graph, pooled):
+        # workers map the spill at chunk time, on warm and one-shot pools
+        # alike, so the injected failure surfaces as kind "transport", not
+        # a broken pool — and the next attempt must switch to the pickled
+        # store
         reference = EnsemFDet(_config()).fit(graph)
-        arm("raise:point=shm.attach")
-        with ReusablePool(mode="process", n_workers=2) as pool:
-            result = EnsemFDet(
-                _config(executor="process", n_workers=2, degrade=False), pool=pool
-            ).fit(graph)
+        arm("raise:point=mmap.open")
+        config = _config(executor="process", n_workers=2, degrade=False)
+        if pooled:
+            with ReusablePool(mode="process", n_workers=2) as pool:
+                result = EnsemFDet(config, pool=pool).fit(graph)
+        else:
+            result = EnsemFDet(config).fit(graph)
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
-        assert result.retry_log[0]["shared_memory"] is True
-        assert "shm" in result.retry_log[0]["kinds"].values()
-        assert result.retry_log[1]["shared_memory"] is False
-        assert leaked_segments() == []
+        assert result.retry_log[0]["transport"] == "spill"
+        assert "transport" in result.retry_log[0]["kinds"].values()
+        assert result.retry_log[1]["transport"] == "pickle"
+        assert "shared_memory" not in result.retry_log[0]
+        assert leaked_spills() == []

@@ -42,6 +42,7 @@ from repro.fdet import batched
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph, WindowConfig
 from repro.graph.window import EdgeWindow
+from repro.parallel import FaultTolerance
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -336,15 +337,15 @@ class TestBackendMatrix:
     """The batched backend composes with every executor and transport."""
 
     @pytest.mark.parametrize(
-        "executor,shared_memory",
+        "executor,transport",
         [
-            ("serial", False),
-            ("thread", False),
-            ("process", True),
-            ("process", False),
+            ("serial", "local"),
+            ("thread", "local"),
+            ("process", "spill"),
+            ("process", "pickle"),
         ],
     )
-    def test_backend_parity(self, weighted_graph, executor, shared_memory):
+    def test_backend_parity(self, weighted_graph, executor, transport, force_transport):
         reference = EnsemFDet(
             EnsemFDetConfig(
                 sampler=RandomEdgeSampler(0.3),
@@ -360,10 +361,12 @@ class TestBackendMatrix:
             seed=11,
             executor=executor,
             n_workers=2,
-            shared_memory=shared_memory,
+            tolerance=FaultTolerance(degrade=False),
             native_batch=True,
         )
+        force_transport(transport)
         result = EnsemFDet(config).fit(weighted_graph)
+        assert result.retry_log[-1]["transport"] == transport
         assert_tables_equal(result.vote_table, reference.vote_table)
         for left, right in zip(result.sample_detections, reference.sample_detections):
             assert_same_detection(left, right)

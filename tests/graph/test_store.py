@@ -1,9 +1,11 @@
-"""Unit tests for the columnar GraphStore and its shared-memory lifecycle."""
+"""Unit tests for the columnar GraphStore and its spill-file lifecycle."""
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -53,11 +55,12 @@ class TestGraphStore:
         expected = 8 * (400 + 400 + 50 + 20 + 400)
         assert store.nbytes == expected
 
-    def test_layout_matches_nbytes(self, weighted_graph):
+    def test_layout_matches_compact_nbytes(self, weighted_graph):
         store = GraphStore.from_graph(weighted_graph)
         shared = store.export_shared()
         try:
-            assert shared.layout.nbytes == store.nbytes
+            # the spill is the compacted store: int32 ids, float64 weights
+            assert shared.layout.nbytes == store.compact().nbytes < store.nbytes
             assert shared.layout.weighted
         finally:
             shared.dispose()
@@ -72,7 +75,7 @@ class TestGraphStore:
             shared.dispose()
 
 
-class TestSharedLifecycle:
+class TestSpillLifecycle:
     def test_export_attach_round_trip(self, weighted_graph):
         shared = GraphStore.from_graph(weighted_graph).export_shared()
         try:
@@ -84,7 +87,7 @@ class TestSharedLifecycle:
             detach_all()
             shared.dispose()
 
-    def test_attach_is_cached_per_segment(self, weighted_graph):
+    def test_attach_is_cached_per_file(self, weighted_graph):
         shared = GraphStore.from_graph(weighted_graph).export_shared()
         try:
             first = attached_store(shared.layout)
@@ -93,7 +96,7 @@ class TestSharedLifecycle:
             detach_all()
             shared.dispose()
 
-    def test_new_segment_evicts_previous_attachment(self, weighted_graph):
+    def test_new_file_evicts_previous_attachment(self, weighted_graph):
         first_shared = GraphStore.from_graph(weighted_graph).export_shared()
         second_shared = GraphStore.from_graph(weighted_graph).export_shared()
         try:
@@ -101,33 +104,75 @@ class TestSharedLifecycle:
             attached_store(second_shared.layout)
             from repro.graph.store import _ATTACHED
 
-            assert list(_ATTACHED) == [second_shared.layout.segment]
+            assert list(_ATTACHED) == [second_shared.layout.path]
         finally:
             detach_all()
             first_shared.dispose()
             second_shared.dispose()
 
-    def test_attach_missing_segment_raises(self):
+    def test_attach_missing_file_raises(self, tmp_path):
         layout = StoreLayout(
-            segment="repro_gs_definitely_missing", n_users=1, n_merchants=1,
+            path=str(tmp_path / "definitely_missing.store"), n_users=1, n_merchants=1,
             n_edges=0, weighted=False,
         )
         with pytest.raises(GraphError, match="does not exist"):
-            GraphStore.attach(layout)
+            attached_store(layout)
 
-    def test_dispose_removes_dev_shm_entry(self, weighted_graph):
+    def test_spill_lives_in_its_own_temp_dir(self, weighted_graph):
         shared = GraphStore.from_graph(weighted_graph).export_shared()
-        path = f"/dev/shm/{shared.layout.segment}"
-        if os.path.isdir("/dev/shm"):
-            assert os.path.exists(path)
+        try:
+            directory = os.path.dirname(shared.layout.path)
+            assert directory == shared.directory
+            assert os.path.dirname(directory) == tempfile.gettempdir()
+            assert os.path.basename(directory).startswith("repro_gs_spill_")
+        finally:
+            shared.dispose()
+
+    def test_spill_honours_tmpdir(self, weighted_graph, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with GraphStore.from_graph(weighted_graph).export_shared() as shared:
+            assert os.path.dirname(shared.directory) == str(tmp_path)
+
+    def test_dispose_removes_spill_dir(self, weighted_graph):
+        shared = GraphStore.from_graph(weighted_graph).export_shared()
+        assert os.path.exists(shared.layout.path)
         shared.dispose()
         assert shared.disposed
-        assert not os.path.exists(path)
+        assert not os.path.exists(shared.directory)
+        shared.dispose()  # idempotent
 
     def test_context_manager_disposes(self, weighted_graph):
         with GraphStore.from_graph(weighted_graph).export_shared() as shared:
-            segment = shared.layout.segment
-        assert not os.path.exists(f"/dev/shm/{segment}")
+            directory = shared.directory
+        assert not os.path.exists(directory)
+
+    def test_dropped_handle_removes_spill_dir(self, weighted_graph):
+        shared = GraphStore.from_graph(weighted_graph).export_shared()
+        directory = shared.directory
+        del shared
+        gc.collect()
+        assert not os.path.exists(directory)
+
+    def test_failed_spill_leaves_nothing(self, weighted_graph, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def refuse(self, path, compact=True):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(GraphStore, "save", refuse)
+        with pytest.raises(OSError):
+            GraphStore.from_graph(weighted_graph).export_shared()
+        assert os.listdir(tmp_path) == []
+
+    def test_mapping_survives_dispose(self, weighted_graph):
+        # workers may still hold the map when the parent removes the spill
+        shared = GraphStore.from_graph(weighted_graph).export_shared()
+        try:
+            view = attached_store(shared.layout)
+            shared.dispose()
+            assert_same_columns(weighted_graph, view.to_graph())
+        finally:
+            detach_all()
 
     def test_unweighted_and_empty_graphs_export(self):
         for graph in (

@@ -47,7 +47,7 @@ class TestSaveOpen:
     def test_round_trip(self, tmp_path, weighted_graph, mmap, compact):
         path = tmp_path / "g.store"
         layout = GraphStore.from_graph(weighted_graph).save(path, compact=compact)
-        assert layout.kind == "file"
+        assert layout.path == str(path)
         opened = GraphStore.open(path, mmap=mmap)
         assert_same_columns(weighted_graph, opened.to_graph())
         if compact:
@@ -161,7 +161,7 @@ class TestFileErrors:
 class TestInt32Boundaries:
     def test_layout_rejects_overflowing_id_dtype(self):
         layout = StoreLayout(
-            segment="x",
+            path="x",
             n_users=INT32_MAX + 2,
             n_merchants=1,
             n_edges=0,
@@ -174,7 +174,7 @@ class TestInt32Boundaries:
     def test_layout_boundary_is_inclusive(self):
         # exactly 2**31 nodes: max index 2**31-1 still fits int32
         layout = StoreLayout(
-            segment="x",
+            path="x",
             n_users=INT32_MAX + 1,
             n_merchants=1,
             n_edges=0,
@@ -185,7 +185,7 @@ class TestInt32Boundaries:
 
     def test_layout_rejects_unknown_dtype(self):
         layout = StoreLayout(
-            segment="x",
+            path="x",
             n_users=1,
             n_merchants=1,
             n_edges=0,

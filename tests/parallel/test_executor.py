@@ -178,10 +178,10 @@ class TestReusablePoolEnsembleLifecycle:
         return EnsemFDetConfig(**defaults)
 
     @staticmethod
-    def _leaked_segments():
-        if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-            return []
-        return [n for n in os.listdir("/dev/shm") if n.startswith("repro_gs_")]
+    def _leaked_spills():
+        from repro.faults.chaos import leaked_spills
+
+        return leaked_spills()
 
     def test_reused_across_multiple_fits(self):
         from repro.ensemble import EnsemFDet
@@ -203,21 +203,21 @@ class TestReusablePoolEnsembleLifecycle:
         assert pool.n_workers == 2
         pool.close()
 
-    def test_shared_segments_cleaned_after_fits_and_close(self):
+    def test_spill_dirs_cleaned_after_fits_and_close(self):
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
         pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
         try:
             EnsemFDet(self._config(), pool=pool).fit(graph)
-            # the per-fit segment is already unlinked before fit returns
-            assert self._leaked_segments() == []
+            # the per-fit spill is already removed before fit returns
+            assert self._leaked_spills() == []
             EnsemFDet(self._config(seed=10), pool=pool).fit(graph)
-            assert self._leaked_segments() == []
+            assert self._leaked_spills() == []
         finally:
             pool.close()
         pool.close()  # idempotent after real use
-        assert self._leaked_segments() == []
+        assert self._leaked_spills() == []
 
 
 class TestTiming:
