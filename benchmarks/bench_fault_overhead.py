@@ -69,7 +69,7 @@ IDLE_PLAN = "raise:point=member.detect,index=999999"
 #: fault_point evaluations a fit performs, without perturbing it
 COUNTING_PLAN = ";".join(
     f"raise:point={point},attempt=-1,times=0"
-    for point in ("member.detect", "mmap.open", "state.write", "pool.map")
+    for point in ("member.detect", "mmap.open", "state.write")
 )
 
 

@@ -47,14 +47,20 @@ WORKERS = 2
 SEED = 0
 
 _SCENARIO = r"""
-import json, resource, sys
+import json, multiprocessing, resource, sys
+from concurrent.futures import ProcessPoolExecutor
 from repro.datasets import make_jd_dataset
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
-from repro.ensemble.runner import detect_on_samples
+from repro.ensemble.runner import _chunked
 from repro.ensemble.voting import VoteTable
-from repro.fdet import FdetConfig
+from repro.fdet import Fdet, FdetConfig
 from repro.parallel import ExecutorMode, Timer, peak_rss_bytes
 from repro.sampling import RandomEdgeSampler, resolve_rng
+
+def detect_chunk(args):
+    config, samples = args
+    fdet = Fdet(config)
+    return [fdet.detect(sample) for sample in samples]
 
 pipeline, n_samples, ratio, dataset_scale, workers, seed = (
     sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4]),
@@ -70,14 +76,22 @@ with Timer() as timer:
     if pipeline == "plan":
         result = EnsemFDet(config).fit(graph)
         votes = result.vote_table.user_votes
-    else:  # the historical eager pipeline: materialize everything up front
+    else:  # the historical eager pipeline: materialize everything up front,
+        # then pickle one chunk of whole subgraphs to each process worker
         rng = resolve_rng(config.seed)
         samples = config.sampler.sample_many(graph, config.n_samples, rng)
-        detections = detect_on_samples(
-            samples, config.fdet, mode=config.executor, n_workers=workers)
+        chunks = _chunked(samples, workers)
+        with ProcessPoolExecutor(
+            len(chunks), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = [
+                result
+                for chunk in pool.map(detect_chunk, [(config.fdet, c) for c in chunks])
+                for result in chunk
+            ]
         votes = VoteTable.from_detections(
-            [d.result.detected_users().tolist() for d in detections],
-            [d.result.detected_merchants().tolist() for d in detections],
+            [r.detected_users().tolist() for r in results],
+            [r.detected_merchants().tolist() for r in results],
         ).user_votes
 print(json.dumps({
     "wall_sec": timer.elapsed,
@@ -122,7 +136,7 @@ def measure_transfer_bytes() -> dict:
 
     samples = sampler.sample_many(graph, N_SAMPLES, resolve_rng(SEED))
     eager = sum(
-        len(pickle.dumps((config, chunk, False)))
+        len(pickle.dumps((config, chunk)))
         for chunk in _chunked(samples, WORKERS)
     )
 

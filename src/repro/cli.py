@@ -694,7 +694,7 @@ def main(argv: list[str] | None = None) -> int:
         default=PeelEngine.DEFAULT,
         help="peeling backend: 'fast' (vectorised + native core) or 'reference'",
     )
-    detect.add_argument("--executor", choices=("serial", "thread", "process"), default="process")
+    detect.add_argument("--executor", choices=ExecutorMode.ALL, default=ExecutorMode.PROCESS)
     detect.add_argument("--seed", type=int, default=0)
     detect.add_argument(
         "--shards",
@@ -738,7 +738,7 @@ def main(argv: list[str] | None = None) -> int:
             help="peeling backend",
         )
         command.add_argument(
-            "--executor", choices=("serial", "thread", "process"), default="process"
+            "--executor", choices=ExecutorMode.ALL, default=ExecutorMode.PROCESS
         )
         command.add_argument("--seed", type=int, default=0)
         command.add_argument(
@@ -927,11 +927,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario.add_argument(
         "--engine", choices=PeelEngine.ALL, default=PeelEngine.DEFAULT, help="peeling backend"
     )
-    scenario.add_argument(
-        "--executor",
-        choices=(ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS),
-        default=ExecutorMode.SERIAL,
-    )
+    scenario.add_argument("--executor", choices=ExecutorMode.ALL, default=ExecutorMode.SERIAL)
     scenario.add_argument("--k", type=int, default=50, help="k of precision@k")
     scenario.add_argument("--outdir", default=None, help="write JSON/CSV artifacts here")
     scenario.add_argument("--max-rows", type=int, default=60, help="rows shown in the table")

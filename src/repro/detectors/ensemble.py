@@ -157,7 +157,7 @@ def _parity_fingerprint(config: EnsemFDetConfig) -> tuple:
     """The resolved knobs that determine the vote table bit-for-bit.
 
     Two ensemble detectors are bit-comparable iff these agree (the
-    executor deliberately excluded: serial/thread/process produce
+    executor deliberately excluded: serial and process produce
     identical tables by design). The harness's parity cross-check only
     groups detectors whose fingerprints match, so a spec that overrides
     e.g. the sampler or ``n`` is legitimately allowed to diverge.

@@ -214,7 +214,7 @@ class EnsembleSpec(DetectorSpec):
     stripe: int | None = None  # stable-sampler stripe size
     max_blocks: int | None = None  # FDET extraction cap per sample
     engine: str | None = None  # peeling backend
-    executor: str | None = None  # serial / thread / process
+    executor: str | None = None  # serial / process
     seed: int | None = None
 
 

@@ -15,7 +15,6 @@ from .runner import (
     MemberRun,
     SampleDetection,
     detect_on_plans,
-    detect_on_samples,
     run_members,
 )
 from .sharding import ShardPlan, merge_shard_votes, plan_shards, run_sharded
@@ -38,7 +37,6 @@ __all__ = [
     "MemberRun",
     "SampleDetection",
     "detect_on_plans",
-    "detect_on_samples",
     "run_members",
     "ShardPlan",
     "plan_shards",

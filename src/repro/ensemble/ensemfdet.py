@@ -3,14 +3,15 @@
 Pipeline::
 
     graph --(sampler.plan × N)--> compact plans --(materialize + FDET,
-    parallel, shared-memory parent)--> per-sample detections
+    serial or process pool)--> per-sample detections
     --(majority vote, threshold T)--> U_final, V_final
 
 The sampling stage is plan-only: the parent draws ``N`` compact
 :class:`~repro.sampling.SamplePlan` objects (consuming the RNG exactly as
 the historical eager sampler did) and the subgraphs are materialized inside
-the detection workers against a shared-memory view of the parent graph —
-see :func:`repro.ensemble.runner.detect_on_plans` for the memory model.
+the detection workers against the parent graph, which process workers map
+from one store file — see :mod:`repro.ensemble.runner` for the memory
+model.
 
 The expensive middle stage is run once by :meth:`EnsemFDet.fit`; the returned
 :class:`EnsemFDetResult` holds the vote table so callers can evaluate *every*
@@ -32,7 +33,14 @@ from ..graph import BipartiteGraph, GraphStore, LiveWindow
 from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
 from ..sampling import RandomEdgeSampler, Sampler, StableEdgeSampler, resolve_rng
 from .results import DetectionResult
-from .runner import MemberFailure, MemberRun, SampleDetection, _raise_first_failure, run_members
+from .runner import (
+    MemberFailure,
+    MemberRun,
+    SampleDetection,
+    _raise_first_failure,
+    check_executor,
+    run_members,
+)
 from .sharding import ShardPlan, merge_shard_votes, plan_shards, run_sharded
 from .voting import NodeVotes, VoteTable, majority_vote
 
@@ -53,7 +61,9 @@ class EnsemFDetConfig:
     fdet:
         FDET configuration applied to every sampled subgraph.
     executor:
-        Backend for the parallel detection stage.
+        Backend for the detection stage: ``"serial"`` (in the parent) or
+        ``"process"`` (a process pool); anything else raises
+        :class:`~repro.errors.DetectionError`.
     n_workers:
         Pool size (``None`` = CPU count).
     seed:
@@ -109,6 +119,7 @@ class EnsemFDetConfig:
             raise DetectionError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.shards < 1:
             raise DetectionError(f"shards must be >= 1, got {self.shards}")
+        check_executor(self.executor)
 
     @property
     def repetition_rate(self) -> float:

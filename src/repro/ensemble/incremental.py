@@ -32,7 +32,7 @@ from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
 from ..fdet.batched import detected_nodes, label_nodes, tally
 from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
-from ..parallel import FaultTolerance, ReusablePool, Timer
+from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
 from ..sampling import StableEdgeSampler, resolve_rng
 from .ensemfdet import EnsemFDet, EnsemFDetConfig, EnsemFDetResult
 from .results import (
@@ -308,7 +308,7 @@ class IncrementalEnsemFDet:
         stale members' plans are just their stripe rows re-hashed on the
         grown edge count — no subgraph is materialized parent-side. All
         refreshed members share one columnar store of the grown graph
-        (one shared-memory export per update on the process backend).
+        (spilled once per attempt to a store file on the process backend).
         """
         self._require_fitted()
         if users is None:
@@ -552,7 +552,10 @@ class IncrementalEnsemFDet:
                 min_density_ratio=fdet["min_density_ratio"],
                 engine=fdet["engine"],
             ),
-            executor=ensemble["executor"],
+            # states saved with the retired thread backend resume serial
+            executor=(
+                ExecutorMode.SERIAL if ensemble["executor"] == "thread" else ensemble["executor"]
+            ),
             n_workers=ensemble["n_workers"],
             seed=ensemble["seed"],
             track_appearances=ensemble["track_appearances"],

@@ -1,38 +1,35 @@
 """Parallel execution of FDET across sampled subgraphs (paper Fig. 2).
 
-Two fan-out shapes live here:
+One fan-out engine, :func:`run_members`, runs every ensemble member from
+its compact :class:`~repro.sampling.SamplePlan` (edge lists, node picks,
+stripe rows) on one of two backends:
 
-* :func:`detect_on_plans` — the **zero-copy** pipeline used by
-  :class:`~repro.ensemble.EnsemFDet`. The parent keeps the graph in one
-  frozen :class:`~repro.graph.GraphStore`; for the process backend the
-  store travels as one mmap-able store file — the file a parent was
-  opened from (:meth:`GraphStore.open`), or a compacted spill of a
-  resident parent (:meth:`GraphStore.export_shared`, once per attempt).
-  Workers map the file **once per process** (a process-local cache, so
-  :class:`~repro.parallel.ReusablePool` workers reuse it across fits)
-  and run their chunk of compact plans (:class:`~repro.sampling.SamplePlan`
-  of every kind: edge lists, node picks, stripe rows) through one batched
+* ``serial`` — the members run in the parent against the in-process
+  graph, through one batched kernel call.
+* ``process`` — the parent keeps the graph in one frozen
+  :class:`~repro.graph.GraphStore`, which travels as one mmap-able store
+  file: the file a parent was opened from (:meth:`GraphStore.open`), or a
+  compacted spill of a resident parent (:meth:`GraphStore.export_shared`,
+  once per attempt). Workers map the file **once per process** (a
+  process-local cache, so :class:`~repro.parallel.ReusablePool` workers
+  reuse it across fits) and run their chunk of plans through one batched
   kernel call — zero graph bytes are pickled per ensemble member, only
   the ~1%-sized plans and a ~100-byte :class:`~repro.graph.StoreLayout`
   descriptor. Mapped columns are read lazily, so out-of-core graphs
-  never materialize in any process. Serial and thread backends skip the
-  file and run against the in-process graph directly. One chunk function
-  (:func:`_detect_member_chunk`) serves every backend.
-* :func:`detect_on_samples` — the historical eager shape, mapping already
-  materialized subgraphs. Kept for callers that hold real subgraphs (and
-  as the reference the plan pipeline is parity-tested against).
+  never materialize in any process.
 
-Both are thin shells over :func:`run_members`, the fault-tolerant member
-engine. Every attempt records which members ran and which failed; failed
-members are retried under the :class:`~repro.parallel.FaultTolerance`
-policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
-the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → thread → serial), store-file → pickled-store
-fallback and, after a worker crash, kernel → reference-engine fallback —
-and whatever still fails after the last round comes back as a
-typed :class:`MemberFailure` instead of an exception. The parent-side
-spill directory is removed on **every** exit path (normal, crash, timeout,
-KeyboardInterrupt), backstopped by the handle's ``weakref.finalize``.
+One chunk function (:func:`_detect_member_chunk`) serves both backends,
+and :func:`detect_on_plans` is its strict shell. Every attempt records
+which members ran and which failed; failed members are retried under the
+:class:`~repro.parallel.FaultTolerance` policy — per-member wall-clock
+timeouts (hung workers are SIGKILLed and the pool respawned), bounded
+deterministic backoff, degradation to the serial backend, store-file →
+pickled-store fallback and, after a worker crash, kernel →
+reference-engine fallback — and whatever still fails after the last round
+comes back as a typed :class:`MemberFailure` instead of an exception. The
+parent-side spill directory is removed on **every** exit path (normal,
+crash, timeout, KeyboardInterrupt), backstopped by the handle's
+``weakref.finalize``.
 
 Because plans re-materialize deterministically, a member that fails and
 then succeeds on retry produces a detection bitwise-identical to a
@@ -47,13 +44,13 @@ layer do; plain MVA does not).
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import GraphError, InjectedFault, MemberTimeoutError, WorkerCrashError
+from ..errors import DetectionError, GraphError, InjectedFault, MemberTimeoutError, WorkerCrashError
 from ..faults import fault_point
 from ..fdet import Fdet, FdetConfig, FdetResult, PeelEngine
 from ..fdet import batched as _batched
@@ -65,14 +62,12 @@ from ..parallel import (
     ReusablePool,
     default_workers,
     kill_executor_workers,
-    parallel_map,
 )
 from ..graph.window import EdgeWindow
 from ..parallel.executor import _process_context
 from ..sampling import SamplePlan, materialize_plan
 
 __all__ = [
-    "detect_on_samples",
     "detect_on_plans",
     "run_members",
     "SampleDetection",
@@ -170,19 +165,6 @@ def _detection(fdet: Fdet, graph: BipartiteGraph, track_members: bool) -> Sample
     )
 
 
-def _detect_one(args: tuple[BipartiteGraph, FdetConfig, bool]) -> SampleDetection:
-    graph, config, track_members = args
-    return _detection(Fdet(config), graph, track_members)
-
-
-def _detect_chunk(
-    args: tuple[FdetConfig, list[BipartiteGraph], bool]
-) -> list[SampleDetection]:
-    config, graphs, track_members = args
-    fdet = Fdet(config)
-    return [_detection(fdet, graph, track_members) for graph in graphs]
-
-
 def _resolve_parent(
     source: BipartiteGraph | GraphStore | StoreLayout,
     window: EdgeWindow | None,
@@ -193,7 +175,7 @@ def _resolve_parent(
     cache (first touch maps the file, later chunks and later fits on the
     same file are dictionary hits); a pickled :class:`GraphStore` is the
     fallback after a transport failure; a :class:`BipartiteGraph` arrives
-    only on in-process backends. Stores carry their window columns in the
+    only on the serial backend. Stores carry their window columns in the
     file itself, so ``window`` is only consulted for in-process graphs.
     """
     if isinstance(source, StoreLayout):
@@ -319,18 +301,12 @@ def _classify(error: BaseException) -> str:
     return FAIL_ERROR
 
 
-def _degraded_backend(mode: str, retry_round: int, tolerance: FaultTolerance) -> str:
-    """Backend for retry round ``retry_round`` (0 = first attempt)."""
-    if retry_round == 0 or not tolerance.degrade:
-        return mode
-    ladder = {
-        ExecutorMode.PROCESS: (ExecutorMode.THREAD, ExecutorMode.SERIAL),
-        ExecutorMode.THREAD: (ExecutorMode.SERIAL,),
-        ExecutorMode.SERIAL: (),
-    }[mode]
-    if not ladder:
-        return ExecutorMode.SERIAL
-    return ladder[min(retry_round - 1, len(ladder) - 1)]
+def check_executor(mode: str) -> None:
+    """Reject an executor name that is not one of :class:`ExecutorMode`."""
+    if mode not in ExecutorMode.ALL:
+        raise DetectionError(
+            f"unknown executor {mode!r}; expected one of {ExecutorMode.ALL}"
+        )
 
 
 def _gather_chunk_futures(
@@ -378,7 +354,6 @@ def _run_pooled(
     graph: BipartiteGraph,
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
-    backend: str,
     n_workers: int | None,
     pool: ReusablePool | None,
     track_members: bool,
@@ -389,74 +364,56 @@ def _run_pooled(
     native_batch: bool = False,
     source_store: GraphStore | None = None,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], str]:
-    """One thread/process attempt. Returns ``(results, failures, transport)``.
+    """One process attempt. Returns ``(results, failures, transport)``.
 
     ``transport`` names what actually carried the parent to the workers:
     ``"file"`` (the parent is already a file-backed store — its layout is
     shipped and workers map the same file), ``"spill"`` (a resident parent
-    spilled once to a temporary store file), ``"pickle"`` (the columnar
+    spilled once to a temporary store file) or ``"pickle"`` (the columnar
     store pickled per worker chunk: after a transport failure, or when the
-    spill volume refuses the write) or ``"local"`` (thread backend, no
-    transport at all).
+    spill volume refuses the write).
 
-    The spill (process backend) is created before the fan-out and removed
-    in the ``finally`` below no matter how the attempt ends — worker
-    crash, timeout kill, Ctrl-C — so spill directories can never
-    accumulate; the handle's ``weakref.finalize`` backstops even a failure
-    inside this function (on Linux the removed file stays valid for live
-    worker maps).
+    The spill is created before the fan-out and removed in the
+    ``finally`` below no matter how the attempt ends — worker crash,
+    timeout kill, Ctrl-C — so spill directories can never accumulate;
+    the handle's ``weakref.finalize`` backstops even a failure inside
+    this function (on Linux the removed file stays valid for live worker
+    maps).
     """
-    process = backend == ExecutorMode.PROCESS
-    workers = (
-        pool.n_workers
-        if pool is not None and pool.mode == backend
-        else (n_workers or default_workers(len(work)))
-    )
+    workers = pool.n_workers if pool is not None else (n_workers or default_workers(len(work)))
 
-    source: BipartiteGraph | GraphStore | StoreLayout = graph
+    # the liveness columns ride inside the store; workers rebuild the
+    # EdgeWindow from the mapped columns
+    store = source_store if source_store is not None else GraphStore.from_graph(graph, window)
+    source: GraphStore | StoreLayout = store
     spilled = None
-    plan_window = window
-    transport = "local"
-    if process:
-        # the liveness columns ride inside the store; workers rebuild the
-        # EdgeWindow from the mapped columns
-        store = source_store if source_store is not None else GraphStore.from_graph(graph, window)
-        source, plan_window, transport = store, None, "pickle"
-        if use_file and store.layout is not None:
-            source, transport = store.layout, "file"
-        elif use_file:
-            try:
-                spilled = store.export_shared()
-            except OSError:  # spill volume full or unwritable: pickle instead
-                pass
-            else:
-                source, transport = spilled.layout, "spill"
+    transport = "pickle"
+    if use_file and store.layout is not None:
+        source, transport = store.layout, "file"
+    elif use_file:
+        try:
+            spilled = store.export_shared()
+        except OSError:  # spill volume full or unwritable: pickle instead
+            pass
+        else:
+            source, transport = spilled.layout, "spill"
 
     own_executor = None
-    borrowed_pool = pool is not None and pool.mode == backend
     try:
-        if process:
-            chunks = _chunked(work, workers)
-        else:
-            # threads share memory: per-member tasks give the finest retry
-            # granularity at no pickling cost
-            chunks = [[member] for member in work]
+        chunks = _chunked(work, workers)
         # oversubscription guard: workers x in-kernel threads <= cores
         threads = native_threads(workers)
         args = [
-            (source, config, chunk, track_members, attempt, plan_window, native_batch, threads)
+            (source, config, chunk, track_members, attempt, None, native_batch, threads)
             for chunk in chunks
         ]
 
-        if borrowed_pool:
+        if pool is not None:
             submit = pool.submit
-        elif process:
+        else:
             own_executor = ProcessPoolExecutor(
                 max_workers=min(workers, len(chunks)), mp_context=_process_context()
             )
-            submit = own_executor.submit
-        else:
-            own_executor = ThreadPoolExecutor(max_workers=min(workers, len(chunks)))
             submit = own_executor.submit
 
         futures: list[Future] = []
@@ -476,12 +433,12 @@ def _run_pooled(
                     failures[index] = (FAIL_CRASH, submit_error)
         if timed_out:
             # a hung worker cannot be joined or cancelled — reclaim it
-            if borrowed_pool:
+            if pool is not None:
                 pool.kill_workers()
-            elif own_executor is not None:
+            else:
                 kill_executor_workers(own_executor)
         broken = timed_out or any(kind == FAIL_CRASH for kind, _ in failures.values())
-        if broken and borrowed_pool:
+        if broken and pool is not None:
             pool.respawn()
         return results, failures, transport
     finally:
@@ -533,14 +490,16 @@ def run_members(
 
     The engine behind :func:`detect_on_plans` and
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
-    requested backend, then re-runs failed members for up to
-    ``tolerance.max_retries`` extra rounds with deterministic backoff,
-    degrading the backend (process → thread → serial) and falling back
-    from the store file to the pickled store when the failure kinds call
-    for it. Members that never succeed come back as
-    :class:`MemberFailure` entries; the caller decides whether that is a
-    quorum violation.
+    requested backend (``mode``, one of :class:`ExecutorMode`; anything
+    else raises :class:`~repro.errors.DetectionError`), then re-runs
+    failed members for up to ``tolerance.max_retries`` extra rounds with
+    deterministic backoff — in the parent (serial) when
+    ``tolerance.degrade`` is set — falling back from the store file to
+    the pickled store when the failure kinds call for it. Members that
+    never succeed come back as :class:`MemberFailure` entries; the caller
+    decides whether that is a quorum violation.
     """
+    check_executor(mode)
     config = _maybe_override_engine(config, engine)
     tolerance = tolerance or FaultTolerance()
     plans = list(plans)
@@ -577,13 +536,14 @@ def run_members(
         backoff = tolerance.backoff_for(attempt)
         if backoff:
             _time.sleep(backoff)
-        backend = _degraded_backend(mode, attempt, tolerance)
+        # degrading retries run in the parent, out of reach of a broken pool
+        backend = ExecutorMode.SERIAL if attempt and tolerance.degrade else mode
         work = [(index, plans[index]) for index in pending]
         for index in pending:
             attempts_of[index] = attempt + 1
 
-        # mirror parallel_map's fast path: one worker or one item never
-        # pays pool overhead (REPRO_WORKERS=1 pins CI to this path)
+        # one worker or one item never pays pool overhead
+        # (REPRO_WORKERS=1 pins CI to this path)
         in_parent = backend == ExecutorMode.SERIAL
         if not in_parent and pool is None:
             effective = n_workers or default_workers(len(work))
@@ -595,14 +555,12 @@ def run_members(
             )
             transport = "local"
         else:
-            attempt_pool = pool if (pool is not None and pool.mode == backend) else None
             results, failures, transport = _run_pooled(
                 graph,
                 work,
                 config,
-                backend,
                 n_workers,
-                attempt_pool,
+                pool,
                 track_members,
                 use_file,
                 attempt,
@@ -718,7 +676,8 @@ def detect_on_plans(
     config:
         FDET configuration applied to every member.
     mode, n_workers:
-        Executor backend and pool size (see :func:`repro.parallel.parallel_map`).
+        Executor backend (one of :class:`~repro.parallel.ExecutorMode`) and
+        pool size (default :func:`~repro.parallel.default_workers`).
     engine:
         Optional peeling-engine override applied on top of ``config.engine``.
     pool:
@@ -748,46 +707,3 @@ def detect_on_plans(
     _raise_first_failure(run)
     return [detection for detection in run.detections if detection is not None]
 
-
-def detect_on_samples(
-    samples: list[BipartiteGraph],
-    config: FdetConfig,
-    mode: str = ExecutorMode.SERIAL,
-    n_workers: int | None = None,
-    engine: str | None = None,
-    pool: ReusablePool | None = None,
-    track_members: bool = True,
-) -> list[SampleDetection]:
-    """Run FDET over already-materialized subgraphs (the eager shape).
-
-    Prefer :func:`detect_on_plans` when the samples came from a
-    :class:`~repro.sampling.Sampler` — it ships ~1% of the bytes. This
-    entry point remains for callers holding real subgraphs and as the
-    reference semantics the plan pipeline is tested against.
-    """
-    config = _maybe_override_engine(config, engine)
-    if not samples:
-        return []
-
-    chunked = mode == ExecutorMode.PROCESS or (
-        pool is not None and pool.mode == ExecutorMode.PROCESS
-    )
-    if not chunked:
-        return parallel_map(
-            _detect_one,
-            [(sample, config, track_members) for sample in samples],
-            mode=mode,
-            n_workers=n_workers,
-            pool=pool,
-        )
-
-    workers = pool.n_workers if pool is not None else (n_workers or default_workers(len(samples)))
-    chunks = _chunked(samples, workers)
-    chunk_results = parallel_map(
-        _detect_chunk,
-        [(config, chunk, track_members) for chunk in chunks],
-        mode=mode,
-        n_workers=min(workers, len(chunks)),
-        pool=pool,
-    )
-    return [detection for chunk in chunk_results for detection in chunk]

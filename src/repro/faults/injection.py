@@ -36,8 +36,6 @@ Registered injection points
     the temp file), ``backup_done`` (previous snapshot rotated to
     ``.bak``) and ``committed`` (rename done). Context: ``stage``,
     ``path``.
-``pool.map``
-    Entry of a :class:`repro.parallel.ReusablePool` chunk submission.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from .executor import (
     ReusablePool,
     default_workers,
     kill_executor_workers,
-    parallel_map,
 )
 from .timing import Timer, Timing, peak_rss_bytes, time_callable
 from .tolerance import FaultTolerance
@@ -14,7 +13,6 @@ __all__ = [
     "ExecutorMode",
     "FaultTolerance",
     "ReusablePool",
-    "parallel_map",
     "default_workers",
     "kill_executor_workers",
     "Timer",

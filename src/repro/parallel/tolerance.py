@@ -37,12 +37,12 @@ class FaultTolerance:
         ``backoff_seconds × 2**(r-1)`` (no jitter — retry schedules must
         reproduce exactly under a fixed fault plan).
     degrade:
-        Walk the backend ladder on retries: the first retry keeps the
-        configured backend (a respawned pool often just works), later
-        retries fall back process → thread → serial so the final round
-        cannot be taken down by pool infrastructure at all. Shared-memory
-        attach failures likewise fall back to the pickled-store transport
-        on the next round.
+        Run every retry round serially, in the parent: attempt 0 uses the
+        configured backend and each retry of a process fit re-runs the
+        failed members without a pool, so a crashed or hung worker cannot
+        take the retry down too. ``False`` keeps every round on the
+        configured backend; a process round after a store-file mapping
+        failure then ships the pickled store instead.
     min_quorum:
         Minimum surviving fraction of the ensemble (``0 < q ≤ 1``) for a
         vote to be meaningful. With fewer survivors the fit raises

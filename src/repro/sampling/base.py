@@ -10,8 +10,8 @@ sampler is split into two halves:
   typically ~1% the bytes of the subgraph it describes).
 * :func:`materialize_plan` — the deterministic worker-side step that turns
   ``(parent graph, plan)`` into the sampled :class:`BipartiteGraph`,
-  normally against a zero-copy :class:`~repro.graph.GraphStore` view of a
-  shared-memory segment.
+  in process workers against a zero-copy :class:`~repro.graph.GraphStore`
+  view mapped from the parent's store file.
 
 ``sampler.sample(graph, rng)`` is literally
 ``materialize_plan(graph, sampler.plan(graph, rng))``, and ``plan_many``
@@ -185,7 +185,7 @@ def materialize_plan(
     This is the worker-side half of sampling: no RNG, pure array work, and
     byte-for-byte the subgraph the eager ``sampler.sample`` call would have
     produced — the edges :func:`plan_edge_ids` keeps, with the nodes they
-    touch. ``graph`` may be a read-only shared-memory view; see
+    touch. ``graph`` may be a read-only view of a mapped store file; see
     :func:`plan_edge_ids` for the ``window`` overlay.
     """
     subgraph = graph.edge_subgraph(plan_edge_ids(graph, plan, window))

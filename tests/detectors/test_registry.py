@@ -198,6 +198,11 @@ class TestSpecRoundTrip:
         with pytest.raises(DetectionError, match="stable edge sampler"):
             make_detector("ensemfdet:sampler=res,stripe=8", CONTEXT)
 
+    @pytest.mark.parametrize("name", ["ensemfdet", "incremental"])
+    def test_retired_thread_executor_rejected(self, name):
+        with pytest.raises(DetectionError, match="unknown executor 'thread'"):
+            make_detector(f"{name}:executor=thread", CONTEXT)
+
 
 def _assert_detection_equal(a, b):
     assert a.spec == b.spec

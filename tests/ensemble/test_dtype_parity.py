@@ -69,7 +69,7 @@ def test_compact_store_matches_wide_fit(graph, name, tmp_path):
     assert _tables(EnsemFDet(_config(SAMPLERS[name]())).fit(opened)) == reference
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_backends_agree_on_compact_store(graph, executor, tmp_path):
     sampler = StableEdgeSampler(0.35, stripe=64)
     reference = _tables(EnsemFDet(_config(sampler)).fit(graph))

@@ -5,11 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_samples
+from repro.ensemble import (
+    EnsemFDet,
+    EnsemFDetConfig,
+    detect_on_plans,
+    plan_shards,
+    run_members,
+    run_sharded,
+)
 from repro.errors import DetectionError
-from repro.fdet import FdetConfig
+from repro.fdet import Fdet, FdetConfig
 from repro.parallel import ExecutorMode
-from repro.sampling import OneSideNodeSampler, RandomEdgeSampler, Side
+from repro.sampling import OneSideNodeSampler, RandomEdgeSampler, Side, materialize_plan
 
 
 def small_config(**overrides):
@@ -27,6 +34,25 @@ class TestConfig:
     def test_invalid_n_samples(self):
         with pytest.raises(DetectionError):
             EnsemFDetConfig(n_samples=0)
+
+    @pytest.mark.parametrize("executor", ["procss", "thread"])
+    def test_unknown_executor_rejected(self, executor):
+        assert ExecutorMode.ALL == ("serial", "process")
+        with pytest.raises(DetectionError, match=r"expected one of \('serial', 'process'\)"):
+            EnsemFDetConfig(executor=executor, n_workers=2)
+
+    @pytest.mark.parametrize("entry", ["run_members", "detect_on_plans", "run_sharded"])
+    def test_fan_out_rejects_unknown_mode(self, toy, entry):
+        fan_out = {
+            "run_members": run_members,
+            "detect_on_plans": detect_on_plans,
+            "run_sharded": lambda *args, **kwargs: run_sharded(
+                *args, plan_shards(2, 2), **kwargs
+            ),
+        }[entry]
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 2, rng=0)
+        with pytest.raises(DetectionError, match="unknown executor 'procss'"):
+            fan_out(toy.graph, plans, FdetConfig(max_blocks=2), mode="procss")
 
     def test_repetition_rate(self):
         config = EnsemFDetConfig(sampler=RandomEdgeSampler(0.1), n_samples=80)
@@ -137,46 +163,51 @@ class TestFit:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("mode", [ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS])
+    @pytest.mark.parametrize("mode", ExecutorMode.ALL)
     def test_executors_agree(self, toy, mode):
         config = small_config(executor=mode, n_samples=6)
         result = EnsemFDet(config).fit(toy.graph)
         serial = EnsemFDet(small_config(executor=ExecutorMode.SERIAL, n_samples=6)).fit(toy.graph)
         assert result.vote_table.user_votes == serial.vote_table.user_votes
 
-    def test_detect_on_samples_order_preserved(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 4, rng=0)
-        serial = detect_on_samples(samples, FdetConfig(max_blocks=4), mode=ExecutorMode.SERIAL)
-        threaded = detect_on_samples(samples, FdetConfig(max_blocks=4), mode=ExecutorMode.THREAD)
-        for a, b in zip(serial, threaded):
-            assert a.result.k_hat == b.result.k_hat
-            assert np.array_equal(a.result.detected_users(), b.result.detected_users())
-
-    def test_chunked_process_matches_serial(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 7, rng=1)
+    def test_plan_order_preserved(self, toy):
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 4, rng=0)
         config = FdetConfig(max_blocks=4)
-        serial = detect_on_samples(samples, config, mode=ExecutorMode.SERIAL)
-        chunked = detect_on_samples(samples, config, mode=ExecutorMode.PROCESS, n_workers=3)
-        assert len(chunked) == len(serial)
-        for a, b in zip(serial, chunked):
-            assert np.array_equal(a.sample_users, b.sample_users)
-            assert np.array_equal(a.result.detected_users(), b.result.detected_users())
+        detections = detect_on_plans(toy.graph, plans, config, mode=ExecutorMode.SERIAL)
+        assert len(detections) == len(plans)
+        for plan, detection in zip(plans, detections):
+            expected = Fdet(config).detect(materialize_plan(toy.graph, plan))
+            assert detection.result.k_hat == expected.k_hat
+            assert np.array_equal(detection.result.detected_users(), expected.detected_users())
+
+    def test_chunked_process_matches_per_sample_detect(self, toy):
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 7, rng=1)
+        config = FdetConfig(max_blocks=4)
+        chunked = detect_on_plans(
+            toy.graph, plans, config, mode=ExecutorMode.PROCESS, n_workers=3
+        )
+        assert len(chunked) == len(plans)
+        for plan, detection in zip(plans, chunked):
+            sample = materialize_plan(toy.graph, plan)
+            expected = Fdet(config).detect(sample)
+            assert np.array_equal(detection.sample_users, sample.user_labels)
+            assert np.array_equal(detection.result.detected_users(), expected.detected_users())
 
     def test_engine_override_matches(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 3, rng=2)
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 3, rng=2)
         config = FdetConfig(max_blocks=4, engine="fast")
-        fast = detect_on_samples(samples, config, mode=ExecutorMode.SERIAL)
-        reference = detect_on_samples(
-            samples, config, mode=ExecutorMode.SERIAL, engine="reference"
+        reference = detect_on_plans(
+            toy.graph, plans, config, mode=ExecutorMode.SERIAL, engine="reference"
         )
-        for a, b in zip(fast, reference):
-            assert np.array_equal(a.result.detected_users(), b.result.detected_users())
-            assert np.array_equal(a.result.detected_merchants(), b.result.detected_merchants())
+        for plan, detection in zip(plans, reference):
+            fast = Fdet(config).detect(materialize_plan(toy.graph, plan))
+            assert np.array_equal(detection.result.detected_users(), fast.detected_users())
+            assert np.array_equal(detection.result.detected_merchants(), fast.detected_merchants())
 
     def test_reusable_pool_fit(self, toy):
         from repro.parallel import ReusablePool
 
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             config = small_config(executor=ExecutorMode.PROCESS, n_samples=6)
             pooled = EnsemFDet(config, pool=pool).fit(toy.graph)
             again = EnsemFDet(config, pool=pool).fit(toy.graph)  # warm workers reused

@@ -20,7 +20,6 @@ from repro.ensemble import (
     EnsemFDet,
     EnsemFDetConfig,
     detect_on_plans,
-    detect_on_samples,
     plan_shards,
     run_members,
 )
@@ -53,7 +52,7 @@ SAMPLER_FACTORIES = {
     "ses": lambda: StableEdgeSampler(0.35, stripe=32),
 }
 
-BACKENDS = (ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS)
+BACKENDS = ExecutorMode.ALL
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +80,18 @@ def assert_graphs_bitwise_equal(a: BipartiteGraph, b: BipartiteGraph) -> None:
     assert np.array_equal(a.merchant_labels, b.merchant_labels)
 
 
-def assert_detections_bitwise_equal(plan_based, eager) -> None:
+def assert_results_equal(plan_based, eager) -> None:
+    """Two lists of ``FdetResult``s agree density for density, node for node."""
     assert len(plan_based) == len(eager)
     for p, e in zip(plan_based, eager):
-        assert p.result.k_hat == e.result.k_hat
-        assert np.array_equal(p.result.densities, e.result.densities)
-        assert np.array_equal(p.result.detected_users(), e.result.detected_users())
-        assert np.array_equal(
-            p.result.detected_merchants(), e.result.detected_merchants()
-        )
+        assert p.k_hat == e.k_hat
+        assert np.array_equal(p.densities, e.densities)
+        assert np.array_equal(p.detected_users(), e.detected_users())
+        assert np.array_equal(p.detected_merchants(), e.detected_merchants())
+
+
+def results_of(detections):
+    return [detection.result for detection in detections]
 
 
 def eager_reference_fit(parent, config):
@@ -97,14 +99,13 @@ def eager_reference_fit(parent, config):
     sample on the reference engine."""
     rng = resolve_rng(config.seed)
     samples = config.sampler.sample_many(parent, config.n_samples, rng)
-    detections = detect_on_samples(
-        samples, config.fdet, mode=ExecutorMode.SERIAL, engine=PeelEngine.REFERENCE
-    )
+    oracle = Fdet(replace(config.fdet, engine=PeelEngine.REFERENCE))
+    results = [oracle.detect(sample) for sample in samples]
     table = VoteTable.from_detections(
-        [d.result.detected_users().tolist() for d in detections],
-        [d.result.detected_merchants().tolist() for d in detections],
+        [result.detected_users().tolist() for result in results],
+        [result.detected_merchants().tolist() for result in results],
     )
-    return table, detections
+    return table, results
 
 
 class TestPlanMaterializeParity:
@@ -167,13 +168,11 @@ class TestFitParity:
             n_workers=2,
             seed=13,
         )
-        reference_table, reference_detections = eager_reference_fit(parent, config)
+        reference_table, reference_results = eager_reference_fit(parent, config)
         result = EnsemFDet(config).fit(parent)
         assert result.vote_table.user_votes == reference_table.user_votes
         assert result.vote_table.merchant_votes == reference_table.merchant_votes
-        assert_detections_bitwise_equal(
-            list(result.sample_detections), reference_detections
-        )
+        assert_results_equal(results_of(result.sample_detections), reference_results)
         assert leaked_spills() == []
 
     def test_spilled_and_pickled_store_agree(self, parent):
@@ -194,23 +193,29 @@ class TestFitParity:
         assert [entry["transport"] for entry in pickled.retry_log] == ["spill", "pickle"]
         assert pickled.retry_log[1]["members"] == list(range(6))
         assert not pickled.failures
-        assert_detections_bitwise_equal(spilled.detections, pickled.detections)
+        assert_results_equal(results_of(spilled.detections), results_of(pickled.detections))
         assert leaked_spills() == []
 
-    def test_fit_on_reusable_pool_matches(self, parent):
+    @pytest.mark.parametrize("name", sorted(SAMPLER_FACTORIES))
+    def test_fit_on_reusable_pool_matches(self, parent, name):
+        """Every plan kind runs on warm process workers, fit after fit."""
         config = EnsemFDetConfig(
-            sampler=StableEdgeSampler(0.35, stripe=32),
+            sampler=SAMPLER_FACTORIES[name](),
             n_samples=6,
             fdet=FdetConfig(max_blocks=4),
             executor=ExecutorMode.PROCESS,
             seed=13,
         )
-        reference_table, _ = eager_reference_fit(parent, config)
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        reference_table, reference_results = eager_reference_fit(parent, config)
+        with ReusablePool(n_workers=2) as pool:
             first = EnsemFDet(config, pool=pool).fit(parent)
             second = EnsemFDet(config, pool=pool).fit(parent)
-        assert first.vote_table.user_votes == reference_table.user_votes
-        assert second.vote_table.user_votes == reference_table.user_votes
+            assert pool.restarts == 0
+        for result in (first, second):
+            assert [entry["backend"] for entry in result.retry_log] == ["process"]
+            assert result.vote_table.user_votes == reference_table.user_votes
+            assert result.vote_table.merchant_votes == reference_table.merchant_votes
+            assert_results_equal(results_of(result.sample_detections), reference_results)
         assert leaked_spills() == []
 
     def test_track_appearances_parity_across_backends(self, parent):

@@ -16,7 +16,7 @@ from repro.faults.chaos import leaked_spills
 from repro.fdet import FdetConfig
 from repro.graph import LiveWindow
 from repro.graph.window import EdgeWindow
-from repro.parallel import FaultTolerance
+from repro.parallel import FaultTolerance, ReusablePool
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -108,6 +108,19 @@ class TestShardedParity:
             _config(make(), shards=2, executor="process", n_workers=2)
         ).fit(graph)
         assert _tables(sharded) == reference
+
+    def test_warm_pool_parity(self, graph):
+        """Every shard's fan-out reuses the same warm workers."""
+        make = lambda: RandomEdgeSampler(0.35)
+        reference = _tables(EnsemFDet(_config(make())).fit(graph))
+        with ReusablePool(n_workers=2) as pool:
+            sharded = EnsemFDet(_config(make(), shards=3, executor="process"), pool=pool)
+            first = sharded.fit(graph)
+            executor = pool._executor
+            second = sharded.fit(graph)
+            assert pool._executor is executor and pool.restarts == 0
+        assert _tables(first) == reference == _tables(second)
+        assert leaked_spills() == []
 
 
 class TestShardingErrors:

@@ -40,7 +40,7 @@ def fitted(toy):
         n_samples=12,
         fdet=FdetConfig(max_blocks=6),
         seed=0,
-        executor="thread",
+        executor="serial",
     )
     return EnsemFDet(config).fit(toy.graph)
 

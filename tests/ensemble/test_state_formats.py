@@ -202,3 +202,38 @@ def test_retired_transport_keys_load_and_rebuild(retired, tmp_path):
     assert _vote_digest(rebuilt.vote_table) == _vote_digest(detector.vote_table)
     # a re-save through the rebuilt detector drops the retired keys again
     assert rebuilt.state().config == detector.state().config
+
+
+@pytest.mark.parametrize(
+    "stored,resumed", [("thread", "serial"), ("process", "process")], ids=["thread", "process"]
+)
+def test_saved_executor_resumes(stored, resumed, tmp_path):
+    """States saved while the thread backend existed still load, round-trip
+    and rebuild the same live detector, which then runs serially; any other
+    executor resumes as saved."""
+    detector = IncrementalEnsemFDet(
+        EnsemFDetConfig(
+            sampler=StableEdgeSampler(0.3, stripe=32),
+            n_samples=6,
+            fdet=FdetConfig(max_blocks=4),
+            seed=5,
+        )
+    )
+    detector.fit(uniform_bipartite(80, 40, 500, rng=1))
+    state = detector.state()
+    config = json.loads(json.dumps(state.config))
+    config["ensemble"]["executor"] = stored
+    state.config = config
+    save_detection_state(state, tmp_path / "saved.npz")
+
+    loaded = load_detection_state(tmp_path / "saved.npz")
+    assert loaded.config == config  # stored as written
+    save_detection_state(loaded, tmp_path / "again.npz")
+    _assert_states_identical(loaded, load_detection_state(tmp_path / "again.npz"))
+
+    rebuilt = IncrementalEnsemFDet.from_state(loaded)
+    assert rebuilt.config.executor == resumed
+    assert _vote_digest(rebuilt.vote_table) == _vote_digest(detector.vote_table)
+    expected = detector.state().config
+    expected["ensemble"]["executor"] = resumed
+    assert rebuilt.state().config == expected

@@ -23,7 +23,7 @@ from repro.ensemble import (
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
 from repro.graph import WindowConfig
-from repro.parallel import FaultTolerance
+from repro.parallel import FaultTolerance, ReusablePool
 from repro.sampling import RandomEdgeSampler, StableEdgeSampler
 
 
@@ -79,7 +79,6 @@ class TestWindowedParityMatrix:
         "executor,transport",
         [
             ("serial", "local"),
-            ("thread", "local"),
             ("process", "spill"),
             ("process", "pickle"),
         ],
@@ -91,6 +90,18 @@ class TestWindowedParityMatrix:
         detector.fit(graph, timestamp=0.0)
         _stream(detector, graph)
         # the 3-batch window over 5 batches has really expired something
+        assert detector.window().watermark > detector.window().n_live
+        assert_matches_cold_window_fit(detector, config)
+
+    @pytest.mark.parametrize("transport", ["spill", "pickle"])
+    def test_warm_pool_updates_match_cold_window_fit(self, graph, transport, force_transport):
+        config = make_config(executor="process", tolerance=FaultTolerance(degrade=False))
+        force_transport(transport)
+        with ReusablePool(n_workers=2) as pool:
+            detector = IncrementalEnsemFDet(config, pool=pool, window=WindowConfig(max_batches=3))
+            detector.fit(graph, timestamp=0.0)
+            _stream(detector, graph)
+            assert pool.restarts == 0  # every update reused the same workers
         assert detector.window().watermark > detector.window().n_live
         assert_matches_cold_window_fit(detector, config)
 

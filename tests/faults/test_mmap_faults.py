@@ -53,7 +53,7 @@ def test_mmap_open_failure_on_file_backed_parent(graph, tmp_path):
     GraphStore.from_graph(graph).save(path)
     opened = GraphStore.open(path)
     arm("raise:point=mmap.open")
-    with ReusablePool(mode="process", n_workers=2) as pool:
+    with ReusablePool(n_workers=2) as pool:
         result = EnsemFDet(
             _config(executor="process", n_workers=2, degrade=False), pool=pool
         ).fit(opened)

@@ -10,7 +10,7 @@ from repro.faults import arm, disarm
 from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
 from repro.fdet import FdetConfig
-from repro.parallel import FaultTolerance, ReusablePool
+from repro.parallel import ExecutorMode, FaultTolerance, ReusablePool
 from repro.sampling import RandomEdgeSampler, resolve_rng
 
 
@@ -125,10 +125,53 @@ class TestTransientRecovery:
 
     def test_fit_identical_under_every_backend_with_faults(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
-        for executor in ("serial", "thread"):
+        for executor in ExecutorMode.ALL:
             arm("raise:point=member.detect,index=0;raise:point=member.detect,index=5")
-            result = EnsemFDet(_config(executor=executor)).fit(graph)
+            result = EnsemFDet(_config(executor=executor, n_workers=2)).fit(graph)
             assert _tables_equal(result.vote_table, reference.vote_table), executor
+
+
+def _always_failing(*indices: int) -> str:
+    return ";".join(
+        f"raise:point=member.detect,index={i},attempt=-1,times=-1" for i in indices
+    )
+
+
+class TestDegradationLadder:
+    """Attempt 0 runs the configured backend; with ``degrade`` every retry
+    runs serially in the parent, without it every retry stays put — except
+    that a round of one member never pays for a pool."""
+
+    @pytest.mark.parametrize(
+        "executor,failing,degrade,backends",
+        [
+            ("process", (1, 4), True, ["process", "serial", "serial"]),
+            ("process", (1, 4), False, ["process", "process", "process"]),
+            ("process", (1,), False, ["process", "serial", "serial"]),
+            ("serial", (1, 4), True, ["serial", "serial", "serial"]),
+        ],
+        ids=["degrade", "no_degrade", "no_degrade_one_member", "serial_degrade"],
+    )
+    def test_retry_log_backends(self, graph, executor, failing, degrade, backends):
+        arm(_always_failing(*failing))
+        config = _config(executor=executor, n_workers=2, degrade=degrade)
+        result = EnsemFDet(config).fit(graph)
+        assert [entry["backend"] for entry in result.retry_log] == backends
+        assert [entry["failed"] for entry in result.retry_log] == [list(failing)] * 3
+        assert [f.index for f in result.failed_members] == list(failing)
+        assert leaked_spills() == []
+
+    def test_transport_failure_retries_serially(self, graph):
+        """With ``degrade`` a failed store-file map is retried in the parent;
+        the pickled store only travels on a non-degrading retry."""
+        reference = EnsemFDet(_config()).fit(graph)
+        arm("raise:point=mmap.open,times=-1")
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
+        log = [(entry["backend"], entry["transport"]) for entry in result.retry_log]
+        assert log == [("process", "spill"), ("serial", "local")]
+        assert set(result.retry_log[0]["kinds"].values()) == {"transport"}
+        assert _tables_equal(result.vote_table, reference.vote_table)
+        assert leaked_spills() == []
 
 
 class TestQuorumDegradation:
@@ -151,11 +194,7 @@ class TestQuorumDegradation:
         assert detection.n_users >= 0  # threshold 6 > survivors would match nothing
 
     def test_below_quorum_raises(self, graph):
-        plan = ";".join(
-            f"raise:point=member.detect,index={i},attempt=-1,times=-1"
-            for i in range(4)
-        )
-        arm(plan)
+        arm(_always_failing(*range(4)))
         with pytest.raises(QuorumError, match="2/6"):
             EnsemFDet(_config()).fit(graph)
 
@@ -223,7 +262,7 @@ class TestProcessBackendFaults:
         arm("raise:point=mmap.open")
         config = _config(executor="process", n_workers=2, degrade=False)
         if pooled:
-            with ReusablePool(mode="process", n_workers=2) as pool:
+            with ReusablePool(n_workers=2) as pool:
                 result = EnsemFDet(config, pool=pool).fit(graph)
         else:
             result = EnsemFDet(config).fit(graph)

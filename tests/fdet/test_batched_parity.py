@@ -340,7 +340,6 @@ class TestBackendMatrix:
         "executor,transport",
         [
             ("serial", "local"),
-            ("thread", "local"),
             ("process", "spill"),
             ("process", "pickle"),
         ],

@@ -35,7 +35,7 @@ class TestDetectCommand:
                 "--ratio", "0.4",
                 "--samples", "8",
                 "--threshold", "3",
-                "--executor", "thread",
+                "--executor", "serial",
             ]
         )
         assert code == 0
@@ -87,6 +87,24 @@ class TestDetectCommand:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestExecutorFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "edges.tsv"],
+            ["watch", "edges.tsv", "--state", "state.npz"],
+            ["serve", "edges.tsv", "--state", "state.npz"],
+            ["scenario"],
+        ],
+        ids=["detect", "watch", "serve", "scenario"],
+    )
+    def test_retired_thread_executor_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 class TestDetectorFlag:

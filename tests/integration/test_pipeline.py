@@ -27,7 +27,7 @@ class TestToyPipeline:
             n_samples=24,
             fdet=FdetConfig(max_blocks=8),
             seed=0,
-            executor="thread",
+            executor="serial",
         )
         ensemble = EnsemFDet(config).fit(toy.graph)
         ensemble_best = best_f1(ensemble_threshold_curve(ensemble, toy.blacklist))
@@ -42,7 +42,7 @@ class TestToyPipeline:
         """EnsemFDet's operating curve is finer-grained than Fraudar's."""
         config = EnsemFDetConfig(
             sampler=RandomEdgeSampler(0.4), n_samples=24,
-            fdet=FdetConfig(max_blocks=8), seed=0, executor="thread",
+            fdet=FdetConfig(max_blocks=8), seed=0, executor="serial",
         )
         ensemble_curve = ensemble_threshold_curve(
             EnsemFDet(config).fit(toy.graph), toy.blacklist
@@ -64,7 +64,7 @@ class TestJdPipeline:
             n_samples=12,
             fdet=FdetConfig(max_blocks=10),
             seed=0,
-            executor="thread",
+            executor="serial",
         )
         result = EnsemFDet(config).fit(dataset.graph)
         best = best_f1(ensemble_threshold_curve(result, dataset.blacklist))

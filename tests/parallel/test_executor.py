@@ -1,4 +1,4 @@
-"""Unit tests for the parallel-map substrate."""
+"""Unit tests for the parallel-execution substrate."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.parallel import (
     ReusablePool,
     Timer,
     default_workers,
-    parallel_map,
     time_callable,
 )
 
@@ -24,35 +23,6 @@ def square(x: int) -> int:
 
 def failing(x: int) -> int:
     raise ValueError(f"boom on {x}")
-
-
-class TestParallelMap:
-    @pytest.mark.parametrize("mode", ExecutorMode.ALL)
-    def test_preserves_order(self, mode):
-        items = list(range(20))
-        assert parallel_map(square, items, mode=mode) == [x * x for x in items]
-
-    @pytest.mark.parametrize("mode", ExecutorMode.ALL)
-    def test_empty_items(self, mode):
-        assert parallel_map(square, [], mode=mode) == []
-
-    def test_single_item_short_circuits(self):
-        assert parallel_map(square, [3], mode=ExecutorMode.PROCESS) == [9]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ReproError, match="unknown executor"):
-            parallel_map(square, [1], mode="gpu")
-
-    @pytest.mark.parametrize("mode", [ExecutorMode.THREAD, ExecutorMode.PROCESS])
-    def test_exceptions_propagate(self, mode):
-        with pytest.raises(ValueError, match="boom"):
-            parallel_map(failing, [1, 2], mode=mode)
-
-    def test_n_workers_one_falls_back_to_serial(self):
-        assert parallel_map(square, [1, 2, 3], mode=ExecutorMode.PROCESS, n_workers=1) == [1, 4, 9]
-
-    def test_generator_input(self):
-        assert parallel_map(square, (x for x in range(4)), mode=ExecutorMode.SERIAL) == [0, 1, 4, 9]
 
 
 class TestDefaultWorkers:
@@ -88,65 +58,68 @@ class TestDefaultWorkers:
 
 
 class TestReusablePool:
-    def test_map_preserves_order(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
-            assert pool.map(square, range(10)) == [x * x for x in range(10)]
-
-    def test_reused_across_calls(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
-            pool.map(square, [1])
+    def test_submit_runs_on_warm_workers(self):
+        with ReusablePool(n_workers=2) as pool:
+            assert pool.submit(square, 4).result() == 16
             executor = pool._executor
-            pool.map(square, [2, 3])
+            assert [pool.submit(square, x).result() for x in (2, 3)] == [4, 9]
             assert pool._executor is executor  # same warm workers
 
-    def test_process_pool_map(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
-            assert pool.map(square, [4, 5]) == [16, 25]
-
-    def test_parallel_map_routes_through_pool(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
-            result = parallel_map(square, [1, 2, 3], mode=ExecutorMode.SERIAL, pool=pool)
-            assert result == [1, 4, 9]
-            assert pool._executor is not None
-
-    def test_empty_map_does_not_spawn(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
-        assert pool.map(square, []) == []
+    def test_no_spawn_before_first_submit(self):
+        pool = ReusablePool(n_workers=2)
         assert pool._executor is None
+        pool.submit(square, 1).result()
+        assert pool._executor is not None
         pool.close()
 
-    def test_serial_mode_rejected(self):
-        with pytest.raises(ReproError, match="thread' or 'process"):
-            ReusablePool(ExecutorMode.SERIAL)
+    def test_task_exceptions_propagate_unchanged(self):
+        with ReusablePool(n_workers=1) as pool:
+            with pytest.raises(ValueError, match="boom on 3"):
+                pool.submit(failing, 3).result()
 
     def test_close_is_idempotent(self):
-        pool = ReusablePool(ExecutorMode.THREAD, n_workers=1)
-        pool.map(square, [1])
+        pool = ReusablePool(n_workers=1)
+        pool.submit(square, 1).result()
         pool.close()
         pool.close()
 
     def test_close_before_use_is_noop(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=1)
+        pool = ReusablePool(n_workers=1)
         pool.close()
         pool.close()
 
-    def test_initializer_runs_once_per_worker(self):
-        with ReusablePool(
-            ExecutorMode.PROCESS,
-            n_workers=2,
-            initializer=_set_init_mark,
-            initargs=("yes",),
-        ) as pool:
-            marks = pool.map(_read_init_mark, range(8))
-        assert marks == ["yes"] * 8
 
+class TestFanOutInParent:
+    """Work that cannot use a pool never starts one (the members run in the
+    parent and the attempt is logged as serial)."""
 
-def _set_init_mark(value: str) -> None:
-    os.environ["REPRO_POOL_INIT_MARK"] = value
+    @staticmethod
+    def _plans(n):
+        from repro.datasets import uniform_bipartite
+        from repro.sampling import RandomEdgeSampler
 
+        graph = uniform_bipartite(60, 30, 300, rng=0)
+        return graph, RandomEdgeSampler(0.4).plan_many(graph, n, rng=1)
 
-def _read_init_mark(_: int) -> str:
-    return os.environ.get("REPRO_POOL_INIT_MARK", "missing")
+    def test_empty_plans(self):
+        from repro.ensemble import run_members
+        from repro.fdet import FdetConfig
+
+        graph, _ = self._plans(1)
+        run = run_members(graph, [], FdetConfig(), mode=ExecutorMode.PROCESS, n_workers=2)
+        assert run.detections == [] and run.failures == () and run.retry_log == ()
+
+    @pytest.mark.parametrize("n_plans,n_workers", [(1, 2), (3, 1)], ids=["one_plan", "one_worker"])
+    def test_runs_in_parent(self, n_plans, n_workers):
+        from repro.ensemble import run_members
+        from repro.fdet import FdetConfig
+
+        graph, plans = self._plans(n_plans)
+        run = run_members(
+            graph, plans, FdetConfig(max_blocks=4), mode=ExecutorMode.PROCESS, n_workers=n_workers
+        )
+        assert (run.retry_log[0]["backend"], run.retry_log[0]["transport"]) == ("serial", "local")
+        assert len(run.survivors()) == n_plans
 
 
 class TestReusablePoolEnsembleLifecycle:
@@ -187,7 +160,7 @@ class TestReusablePoolEnsembleLifecycle:
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             detector = EnsemFDet(self._config(), pool=pool)
             first = detector.fit(graph)
             executor = pool._executor
@@ -199,7 +172,7 @@ class TestReusablePoolEnsembleLifecycle:
 
     def test_repro_workers_pins_pool_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        pool = ReusablePool(ExecutorMode.PROCESS)
+        pool = ReusablePool()
         assert pool.n_workers == 2
         pool.close()
 
@@ -207,7 +180,7 @@ class TestReusablePoolEnsembleLifecycle:
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
+        pool = ReusablePool(n_workers=2)
         try:
             EnsemFDet(self._config(), pool=pool).fit(graph)
             # the per-fit spill is already removed before fit returns
